@@ -18,6 +18,7 @@ from .errors import (
     HermiticityViolation,
     MatrixParseError,
     NonFiniteInput,
+    NonFiniteResult,
     NotSquareError,
     OverflowRisk,
     UnitarityViolation,

@@ -68,7 +68,8 @@ def _campaign_flags(sub: argparse.ArgumentParser, matrices: bool = False) -> Non
     sub.add_argument("--tol", type=float, default=_DEFAULTS["tol"], metavar="R",
                      help="check tolerance (default 1e-10)")
     sub.add_argument("--parallel", action="store_true",
-                     help="run trials on a thread pool (report is unchanged)")
+                     help="accepted for compatibility; has no effect (trials always "
+                     "run in batched chunks, and the report is the same)")
     sub.add_argument("--out", metavar="PATH", help="write the JSON report here")
     if matrices:
         sub.add_argument("--matrix", metavar="PATH",
@@ -120,9 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_out(path, doc) -> None:
+    """Write `doc` as strict JSON; a NaN or infinity raises ValueError before the file opens."""
     if path:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(text)
 
 
 def _print_report(report: CampaignReport) -> None:

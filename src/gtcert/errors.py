@@ -2,7 +2,26 @@
 
 
 class Error(Exception):
-    """Base class for all gtcert errors."""
+    """Base class for all gtcert errors.
+
+    `row` is the index of the offending matrix or vector when the error comes
+    from a stacked (T, ...) evaluation, so a campaign can name the trial; it
+    is 0 for unstacked arguments.
+    """
+
+    row = 0
+
+
+def at_row(error: Error, row: int) -> Error:
+    """`error`, marked as raised for row `row` of a stacked evaluation."""
+    error.row = row
+    return error
+
+
+def require_rows(ok, error_type, message: str) -> None:
+    """Raise error_type(message) for the first False entry of the row mask `ok`."""
+    if not ok.all():
+        raise at_row(error_type(message), int(ok.argmin()))
 
 
 class NotSquareError(Error):
@@ -33,6 +52,10 @@ class NonFiniteInput(Error):
     """Input contains NaN or infinity."""
 
 
+class NonFiniteResult(Error):
+    """A check computed a NaN or infinite lhs, rhs or slack."""
+
+
 class ArityMismatch(Error):
     """A fixed-arity function was applied to the wrong dimension."""
 
@@ -42,12 +65,14 @@ class MatrixParseError(Error):
 
 
 class CampaignTrialError(Error):
-    """A campaign trial raised; carries the trial seed for replay."""
+    """A campaign trial raised; carries the trial seed for replay.
 
-    def __init__(self, trial_index: int, trial_seed: int, cause: BaseException):
+    `trial_index` is None when the failing check ran outside a campaign.
+    """
+
+    def __init__(self, trial_index, trial_seed: int, cause: BaseException):
         self.trial_index = trial_index
         self.trial_seed = trial_seed
         self.cause = cause
-        super().__init__(
-            f"trial {trial_index} (trial_seed={trial_seed}) failed: {cause!r}"
-        )
+        where = "check" if trial_index is None else f"trial {trial_index}"
+        super().__init__(f"{where} (trial_seed={trial_seed}) failed: {cause!r}")

@@ -11,50 +11,53 @@ checks share no intermediate results.
 
 A campaign runs `trials` independent checks.  Trial i derives its seed from
 the master seed by the SplitMix64 finalizer (a fixed pure mixing function), so
-any trial can be replayed in isolation and the report is identical whether or
-not trials ran in parallel.
+any trial can be replayed in isolation.  Each check kind is an entry of
+`CHECKS`: a per-trial sampler that returns raw arrays, and an evaluator that
+checks a whole chunk of stacked trials with one eigensolver call.  The public
+single checks run the same evaluators on a batch of one, so a replayed trial
+reproduces the campaign's numbers bit for bit.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .checks import CheckResult, slack_bound
+from .checks import CheckResult, first_result, non_finite_trial
 from .errors import CampaignTrialError, DimensionMismatch, Error
 from .hermitian import (
     GENERATOR_ID,
     EnsembleSpec,
     HermitianMatrix,
-    eigh,
-    matrix_exp,
-    random_hermitian,
-    random_unitary,
-    random_vector,
+    conj_t,
+    haar_draw,
+    hermitian_draw,
+    stacked_spectrum,
+    vector_draw,
 )
-from .logsumexp import hessian_fd, lse, lse_hessian_analytic, psd_certify
-from .spectral import builtin, check_davis_restriction, check_unitary_invariance, lift
-
-CORE_CHECK_KINDS = (
-    "GT_WEAK",
-    "MIDPOINT_CONVEXITY",
-    "HESSIAN_PSD",
-    "UNITARY_INVARIANCE",
+from .logsumexp import hessian_fd, hessian_rows, lse_rows
+from .spectral import (
+    SymmetricScalarFunction,
+    builtin,
+    davis_restriction_rows,
+    unitary_invariance_rows,
 )
-
-# GT_STRONG certifies tr exp(A+B) <= tr(exp A exp B), a tighter bound than the
-# product form; supplementary, never run unless asked for.  The *_MATCH kinds
-# back the compound CLI subcommands.
-EXTRA_CHECK_KINDS = ("GT_STRONG", "HESSIAN_FD_MATCH", "DAVIS_RESTRICTION")
-
-CHECK_KINDS = CORE_CHECK_KINDS + EXTRA_CHECK_KINDS
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# Matrix entries per stacked chunk: 4096 // n^2 trials, at least one.  Small n
+# gets chunks large enough to amortize the per-chunk numpy calls; from n = 64
+# on, where the eigensolver dominates anyway, a chunk is one trial, so a
+# campaign holds no more memory than a single check does.
+_CHUNK_ENTRIES = 4096
+
+
+def _chunk_trials(n: int) -> int:
+    return max(1, _CHUNK_ENTRIES // (n * n))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -70,63 +73,143 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _log_trace_exp_rows(stack: np.ndarray) -> np.ndarray:
+    return lse_rows(stacked_spectrum(stack))
+
+
+def _log_trace_exp_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log tr(exp A exp B) per row, entirely in the log domain.
+
+    With A = U diag(a) U* and B = V diag(b) V*, tr(exp A exp B) is
+    sum_ij exp(a_i + b_j) |(U*V)_ij|^2, so its log is one lse over the n^2
+    terms a_i + b_j + log |(U*V)_ij|^2; zero overlaps contribute -inf terms.
+    """
+    w, v = stacked_spectrum(np.concatenate([a, b]), vectors=True)
+    (wa, wb), (va, vb) = np.split(w, 2), np.split(v, 2)
+    overlap = conj_t(va) @ vb
+    with np.errstate(divide="ignore"):
+        log_weight = np.log(overlap.real ** 2 + overlap.imag ** 2)
+    terms = wa[:, :, None] + wb[:, None, :] + log_weight
+    return lse_rows(terms.reshape(terms.shape[0], -1))
+
+
+def _gt_weak(f, a, b):
+    fa, fb, fs = np.split(_log_trace_exp_rows(np.concatenate([a, b, a + b])), 3)
+    rhs = fa + fb
+    return fs, rhs, rhs - fs
+
+
+def _gt_strong(f, a, b):
+    lhs = _log_trace_exp_rows(a + b)
+    rhs = _log_trace_exp_product_rows(a, b)
+    return lhs, rhs, rhs - lhs
+
+
+def _midpoint(f, a, b):
+    fa, fb, fm = np.split(_log_trace_exp_rows(np.concatenate([a, b, 0.5 * (a + b)])), 3)
+    rhs = 0.5 * (fa + fb)
+    return fm, rhs, rhs - fm
+
+
+def _hessian_psd(f, x):
+    w_min = stacked_spectrum(hessian_rows(x))[:, 0]
+    return w_min, np.zeros_like(w_min), w_min
+
+
+def _hessian_fd_match(f, x):
+    fd = np.stack([hessian_fd(row).entries for row in x])
+    dev = np.abs(hessian_rows(x) - fd).max(axis=(1, 2))
+    return dev, np.zeros_like(dev), -dev
+
+
 def log_trace_exp(a: HermitianMatrix) -> float:
     """log tr exp(A) = lse(eigenvalues of A); finite for any finite spectrum."""
-    return lse(eigh(a).eigenvalues)
+    return float(_log_trace_exp_rows(a.entries[None])[0])
+
+
+def _same_n(a: HermitianMatrix, b: HermitianMatrix) -> None:
+    if a.n != b.n:
+        raise DimensionMismatch(f"{a.n} x {a.n} vs {b.n} x {b.n}")
 
 
 def log_trace_exp_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    """log tr(exp A exp B), evaluated with both factors max-shifted.
-
-    Shifting each matrix by its top eigenvalue keeps every entry of the two
-    exponentials at most 1, so the trace of the product never overflows.
-    """
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} x {a.n} vs {b.n} x {b.n}")
-    ma = float(eigh(a).eigenvalues[-1])
-    mb = float(eigh(b).eigenvalues[-1])
-    ea = matrix_exp(a + (-ma) * identity(a.n))
-    eb = matrix_exp(b + (-mb) * identity(b.n))
-    t = float(np.trace(ea.entries @ eb.entries).real)
-    return ma + mb + float(np.log(t))
-
-
-def identity(n: int) -> HermitianMatrix:
-    return HermitianMatrix(np.eye(n, dtype=np.complex128))
+    """log tr(exp A exp B), computed in the log domain; finite for finite A, B."""
+    _same_n(a, b)
+    return float(_log_trace_exp_product_rows(a.entries[None], b.entries[None])[0])
 
 
 def gt_weak_check(
     a: HermitianMatrix, b: HermitianMatrix, tol: float = 1e-10
 ) -> CheckResult:
     """Certify log tr exp(A+B) <= log tr exp(A) + log tr exp(B)."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} x {a.n} vs {b.n} x {b.n}")
-    lhs = log_trace_exp(a + b)
-    rhs = log_trace_exp(a) + log_trace_exp(b)
-    slack = rhs - lhs
-    return CheckResult(lhs, rhs, slack, tol, slack >= -slack_bound(rhs, tol))
+    _same_n(a, b)
+    return first_result(_gt_weak(None, a.entries[None], b.entries[None]), tol)
 
 
 def gt_strong_check(
     a: HermitianMatrix, b: HermitianMatrix, tol: float = 1e-10
 ) -> CheckResult:
     """Certify log tr exp(A+B) <= log tr(exp A exp B).  Supplementary check."""
-    lhs = log_trace_exp(a + b)
-    rhs = log_trace_exp_product(a, b)
-    slack = rhs - lhs
-    return CheckResult(lhs, rhs, slack, tol, slack >= -slack_bound(rhs, tol))
+    _same_n(a, b)
+    return first_result(_gt_strong(None, a.entries[None], b.entries[None]), tol)
 
 
 def convexity_check(
     a: HermitianMatrix, b: HermitianMatrix, tol: float = 1e-10
 ) -> CheckResult:
     """Certify midpoint convexity of log_trace_exp on the segment [A, B]."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} x {a.n} vs {b.n} x {b.n}")
-    lhs = log_trace_exp(0.5 * (a + b))
-    rhs = 0.5 * (log_trace_exp(a) + log_trace_exp(b))
-    slack = rhs - lhs
-    return CheckResult(lhs, rhs, slack, tol, slack >= -slack_bound(rhs, tol))
+    _same_n(a, b)
+    return first_result(_midpoint(None, a.entries[None], b.entries[None]), tol)
+
+
+def _pair(ens: EnsembleSpec, trial_seed: int):
+    return (
+        hermitian_draw(ens.kind, ens.n, ens.scale, derive_seed(trial_seed, 0)),
+        hermitian_draw(ens.kind, ens.n, ens.scale, derive_seed(trial_seed, 1)),
+    )
+
+
+def _rotation(ens: EnsembleSpec, trial_seed: int):
+    return (
+        hermitian_draw(ens.kind, ens.n, ens.scale, derive_seed(trial_seed, 0)),
+        haar_draw(ens.n, derive_seed(trial_seed, 1)),
+    )
+
+
+def _vector(ens: EnsembleSpec, trial_seed: int):
+    return (vector_draw(ens.kind, ens.n, ens.scale, derive_seed(trial_seed, 0)),)
+
+
+@dataclass(frozen=True)
+class CheckKind:
+    """How a campaign samples one trial and checks a chunk of them.
+
+    `sample(ensemble, trial_seed)` returns the trial's raw arrays.  The runner
+    stacks each of them over the chunk and calls `evaluate(f, *stacks)`, which
+    returns (lhs, rhs, slack) arrays with one entry per trial; `f` is the
+    campaign's built-in function, used by the kinds that lift one.  An
+    evaluator may concatenate stacks of T trials before a solver call, so an
+    Error's `row` names trial `row % T`.
+    """
+
+    sample: Callable[[EnsembleSpec, int], tuple]
+    evaluate: Callable[..., tuple]
+
+
+CHECKS = {
+    "GT_WEAK": CheckKind(_pair, _gt_weak),
+    "MIDPOINT_CONVEXITY": CheckKind(_pair, _midpoint),
+    "HESSIAN_PSD": CheckKind(_vector, _hessian_psd),
+    "UNITARY_INVARIANCE": CheckKind(_rotation, unitary_invariance_rows),
+    # tr exp(A+B) <= tr(exp A exp B), a tighter bound than the product form;
+    # supplementary, never run unless asked for
+    "GT_STRONG": CheckKind(_pair, _gt_strong),
+    # these two back the compound CLI subcommands
+    "HESSIAN_FD_MATCH": CheckKind(_vector, _hessian_fd_match),
+    "DAVIS_RESTRICTION": CheckKind(_vector, davis_restriction_rows),
+}
+
+CHECK_KINDS = tuple(CHECKS)
 
 
 @dataclass(frozen=True)
@@ -134,8 +217,9 @@ class CampaignConfig:
     """What to check, over which ensemble, how many times, at what tolerance.
 
     `fn` names the built-in used by UNITARY_INVARIANCE and DAVIS_RESTRICTION
-    trials (default lse, the central object).  `parallel` only chooses the
-    execution schedule; it never changes the report.
+    trials (default lse, the central object).  `parallel` is accepted for
+    compatibility and has no effect: every campaign runs the same chunked,
+    batched schedule, and the report never depends on it.
     """
 
     check_kind: str
@@ -190,89 +274,57 @@ class CampaignReport:
         }
 
 
-def _pair(ens: EnsembleSpec, trial_seed: int):
-    a = random_hermitian(replace(ens, seed=derive_seed(trial_seed, 0)))
-    b = random_hermitian(replace(ens, seed=derive_seed(trial_seed, 1)))
-    return a, b
+def _check_chunk(
+    check: CheckKind, f: SymmetricScalarFunction, ens: EnsembleSpec, start: int, seeds: list
+):
+    """(lhs, rhs, slack) arrays of one chunk of trials, all finite.
 
-
-def _run_trial(config: CampaignConfig, trial_seed: int) -> CheckResult:
-    ens = config.ensemble
-    kind = config.check_kind
-    if kind == "GT_WEAK":
-        return gt_weak_check(*_pair(ens, trial_seed), config.tol)
-    if kind == "GT_STRONG":
-        return gt_strong_check(*_pair(ens, trial_seed), config.tol)
-    if kind == "MIDPOINT_CONVEXITY":
-        return convexity_check(*_pair(ens, trial_seed), config.tol)
-    if kind == "HESSIAN_PSD":
-        x = random_vector(replace(ens, seed=derive_seed(trial_seed, 0)))
-        cert = psd_certify(lse_hessian_analytic(x), config.tol)
-        return CheckResult(
-            lhs=cert.min_eigenvalue,
-            rhs=0.0,
-            slack=cert.min_eigenvalue,
-            tol=config.tol,
-            passed=cert.min_eigenvalue >= -slack_bound(0.0, config.tol),
-        )
-    if kind == "HESSIAN_FD_MATCH":
-        x = random_vector(replace(ens, seed=derive_seed(trial_seed, 0)))
-        dev = float(
-            np.max(np.abs(lse_hessian_analytic(x).entries - hessian_fd(x).entries))
-        )
-        return CheckResult(
-            lhs=dev,
-            rhs=0.0,
-            slack=-dev,
-            tol=config.tol,
-            passed=dev <= slack_bound(0.0, config.tol),
-        )
-    if kind == "UNITARY_INVARIANCE":
-        a = random_hermitian(replace(ens, seed=derive_seed(trial_seed, 0)))
-        u = random_unitary(ens.n, derive_seed(trial_seed, 1))
-        func = lift(builtin(config.fn or "lse"))
-        return check_unitary_invariance(func, a, u, config.tol)
-    if kind == "DAVIS_RESTRICTION":
-        x = random_vector(replace(ens, seed=derive_seed(trial_seed, 0)))
-        return check_davis_restriction(builtin(config.fn or "lse"), x, config.tol)
-    raise ValueError(f"unknown check kind {kind!r}")  # unreachable after config validation
+    Any error, and any non-finite value, becomes a CampaignTrialError naming
+    the trial it belongs to.
+    """
+    samples = [check.sample(ens, seed) for seed in seeds]
+    try:
+        lhs, rhs, slack = check.evaluate(f, *(np.stack(arrays) for arrays in zip(*samples)))
+    except Error as exc:
+        row = exc.row % len(seeds)
+        raise CampaignTrialError(start + row, seeds[row], exc) from exc
+    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(slack)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise non_finite_trial(start + row, seeds[row], lhs[row], rhs[row], slack[row])
+    return lhs, rhs, slack
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
-    """Run every trial and aggregate.
+    """Run every trial, a chunk at a time, and aggregate.
 
-    Reports are identical for the same config regardless of `parallel`:
-    trial seeds depend only on (master seed, index), and aggregation scans
-    results in index order (ties on worst slack keep the lowest index).
-    A trial that raises aborts the whole campaign with its seed attached.
+    Trial seeds depend only on (master seed, index), and aggregation scans
+    trials in index order (ties on worst slack keep the lowest index), so
+    the report does not depend on the chunk size.  A trial that raises, or
+    whose lhs, rhs or slack is not finite, aborts the whole campaign with a
+    CampaignTrialError carrying its seed.
     """
     t0 = time.perf_counter()
-
-    def one(index: int) -> CheckResult:
-        trial_seed = derive_seed(config.ensemble.seed, index)
-        try:
-            result = _run_trial(config, trial_seed)
-        except Error as exc:
-            raise CampaignTrialError(index, trial_seed, exc) from exc
-        return replace(result, trial_seed=trial_seed)
-
-    if config.parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(one, range(config.trials)))
-    else:
-        results = [one(i) for i in range(config.trials)]
-
-    violations = sum(1 for r in results if not r.passed)
-    worst = results[0]
-    for r in results[1:]:
-        if r.slack < worst.slack:
-            worst = r
+    ens, tol = config.ensemble, config.tol
+    check = CHECKS[config.check_kind]
+    f = builtin(config.fn or "lse")
+    chunk = _chunk_trials(ens.n)
+    violations = 0
+    worst_slack = worst_seed = None
+    for start in range(0, config.trials, chunk):
+        stop = min(start + chunk, config.trials)
+        seeds = [derive_seed(ens.seed, i) for i in range(start, stop)]
+        lhs, rhs, slack = _check_chunk(check, f, ens, start, seeds)
+        violations += int(np.count_nonzero(slack < -tol * np.maximum(1.0, np.abs(rhs))))
+        row = int(slack.argmin())
+        if worst_slack is None or slack[row] < worst_slack:
+            worst_slack, worst_seed = float(slack[row]), seeds[row]
     return CampaignReport(
         config=config,
-        trials_run=len(results),
+        trials_run=config.trials,
         violations=violations,
-        worst_slack=worst.slack,
-        worst_trial_seed=worst.trial_seed,
+        worst_slack=worst_slack,
+        worst_trial_seed=worst_seed,
         generator_id=GENERATOR_ID,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -22,6 +22,8 @@ from .errors import (
     NotSquareError,
     OverflowRisk,
     UnitarityViolation,
+    at_row,
+    require_rows,
 )
 
 GENERATOR_ID = "numpy-pcg64"
@@ -199,17 +201,43 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def hermitian_draw(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
+    """Entries of one ensemble draw as a raw, exactly Hermitian complex array.
+
+    `kind` must already be canonical; campaigns call this once per matrix
+    and skip the `HermitianMatrix` wrapper.
+    """
+    rng = _rng(seed)
+    if kind == "gue":
+        g = rng.normal(0.0, scale, (n, n)) + 1j * rng.normal(0.0, scale, (n, n))
+        return (g + g.conj().T) / 2.0
+    if kind == "goe":
+        g = rng.normal(0.0, scale, (n, n))
+        return ((g + g.T) / 2.0).astype(np.complex128)
+    return np.diag(rng.uniform(-scale, scale, n)).astype(np.complex128)
+
+
+def vector_draw(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
+    """Length-n draw from the diagonal-entry law of a canonical ensemble kind."""
+    rng = _rng(seed)
+    if kind in ("gue", "goe"):
+        return rng.normal(0.0, scale, n)
+    return rng.uniform(-scale, scale, n)
+
+
+def haar_draw(n: int, seed: int) -> np.ndarray:
+    """Entries of a Haar-distributed n x n unitary (see `random_unitary`)."""
+    rng = _rng(seed)
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0  # zero diagonal has probability zero; keep the phase defined
+    return q * (d / np.abs(d))
+
+
 def random_hermitian(spec: EnsembleSpec) -> HermitianMatrix:
     """Draw one matrix from the ensemble.  Pure function of `spec`."""
-    rng = _rng(spec.seed)
-    n, s = spec.n, spec.scale
-    if spec.kind == "gue":
-        g = rng.normal(0.0, s, (n, n)) + 1j * rng.normal(0.0, s, (n, n))
-        return HermitianMatrix((g + g.conj().T) / 2.0)
-    if spec.kind == "goe":
-        g = rng.normal(0.0, s, (n, n))
-        return HermitianMatrix(((g + g.T) / 2.0).astype(np.complex128))
-    return HermitianMatrix(np.diag(rng.uniform(-s, s, n)).astype(np.complex128))
+    return HermitianMatrix(hermitian_draw(spec.kind, spec.n, spec.scale, spec.seed))
 
 
 def random_vector(spec: EnsembleSpec) -> np.ndarray:
@@ -218,10 +246,7 @@ def random_vector(spec: EnsembleSpec) -> np.ndarray:
     gue/goe give i.i.d. N(0, scale^2); diag gives i.i.d. uniform on
     [-scale, scale].  Used by campaigns that need a vector per trial.
     """
-    rng = _rng(spec.seed)
-    if spec.kind in ("gue", "goe"):
-        return rng.normal(0.0, spec.scale, spec.n)
-    return rng.uniform(-spec.scale, spec.scale, spec.n)
+    return vector_draw(spec.kind, spec.n, spec.scale, spec.seed)
 
 
 def random_unitary(n: int, seed: int) -> UnitaryMatrix:
@@ -233,12 +258,42 @@ def random_unitary(n: int, seed: int) -> UnitaryMatrix:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = _rng(seed)
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0  # zero diagonal has probability zero; keep the phase defined
-    return UnitaryMatrix(q * (d / np.abs(d)))
+    return UnitaryMatrix(haar_draw(n, seed))
+
+
+def conj_t(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a (T, n, n) stack."""
+    return stack.conj().swapaxes(-1, -2)
+
+
+def unitarity_rows(u: np.ndarray) -> np.ndarray:
+    """Row mask: max |U*U - I| <= 1e-10 for each matrix of a (T, n, n) stack."""
+    dev = np.abs(conj_t(u) @ u - np.eye(u.shape[-1])).max(axis=(1, 2))
+    return dev <= _UNITARY_TOL
+
+
+def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues of every matrix in a (T, n, n) stack, in one solver call.
+
+    With `vectors`, returns (eigenvalues, eigenvectors) as `np.linalg.eigh`
+    does.  Each matrix must be finite and exactly conjugate-symmetric; the
+    first one that is not raises NonFiniteInput or HermiticityViolation with
+    its index as the error's `row`, as does a ConvergenceFailure.
+    """
+    require_rows(np.isfinite(stack).all(axis=(1, 2)), NonFiniteInput,
+                 "matrix contains NaN or infinity")
+    require_rows((stack == conj_t(stack)).all(axis=(1, 2)), HermiticityViolation,
+                 "entries are not exactly conjugate-symmetric")
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    try:
+        return solve(stack)
+    except np.linalg.LinAlgError as exc:
+        for row, m in enumerate(stack):  # the stacked call does not say which matrix failed
+            try:
+                solve(m)
+            except np.linalg.LinAlgError:
+                raise at_row(ConvergenceFailure(str(exc)), row) from exc
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def eigh(a: HermitianMatrix) -> EigenDecomposition:

@@ -20,7 +20,6 @@ overflows for any finite input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,15 +92,23 @@ class PsdCertificate:
     passed: bool
 
 
+def lse_rows(x: np.ndarray) -> np.ndarray:
+    """lse along the last axis of a finite array, max-shifted row by row.
+
+    The one implementation behind `lse` and every stacked check, so a
+    campaign and a replayed single check compute the same bits.
+    """
+    m = x.max(axis=-1)
+    return m + np.log(np.exp(x - m[..., None]).sum(axis=-1))
+
+
 def lse(x) -> float:
     """log sum_k exp(x_k), evaluated as m + log sum exp(x - m) with m = max x.
 
     Exact for n = 1; never overflows for finite input.  Satisfies
     max(x) <= lse(x) <= max(x) + log n.
     """
-    arr = _as_vector(x)
-    m = float(arr.max())
-    return m + math.log(float(np.exp(arr - m).sum()))
+    return float(lse_rows(_as_vector(x)[None])[0])
 
 
 def softmax(x) -> SoftmaxWeights:
@@ -111,47 +118,54 @@ def softmax(x) -> SoftmaxWeights:
     return SoftmaxWeights(w / w.sum())
 
 
-def lse_hessian_analytic(x) -> RealSymmetricMatrix:
-    """Hessian of lse at x, in max-shifted form.
+def hessian_rows(x: np.ndarray) -> np.ndarray:
+    """Analytic lse Hessians of the rows of a finite (T, n) array, as a (T, n, n) stack.
 
     With w = exp(x - max x) and S = sum w: off-diagonal -w_i w_j / S^2 and
-    diagonal w_i (S - w_i) / S^2.  For n = 1 this is the 1 x 1 zero matrix.
+    diagonal w_i (S - w_i) / S^2.
     """
-    arr = _as_vector(x)
-    w = np.exp(arr - arr.max())
-    s = float(w.sum())
-    h = -np.outer(w, w) / (s * s)
-    np.fill_diagonal(h, w * (s - w) / (s * s))
-    return RealSymmetricMatrix(h)
+    w = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = w.sum(axis=-1)[:, None]
+    h = -(w[:, :, None] * w[:, None, :]) / (s * s)[:, :, None]
+    i = np.arange(x.shape[-1])
+    h[:, i, i] = w * (s - w) / (s * s)
+    return h
+
+
+def lse_hessian_analytic(x) -> RealSymmetricMatrix:
+    """Hessian of lse at x, in max-shifted form (see `hessian_rows`).
+
+    For n = 1 this is the 1 x 1 zero matrix.
+    """
+    return RealSymmetricMatrix(hessian_rows(_as_vector(x)[None])[0])
+
+
+# perturbation signs of the four stencil points (s_i, s_j), in formula order
+_STENCIL_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
 def hessian_fd(x, h: float = 1e-4) -> RealSymmetricMatrix:
     """Central finite-difference Hessian of lse, independent of the analytic form.
 
     Entry (i, j) is
-        [f(x+h e_i+h e_j) - f(x+h e_i-h e_j) - f(x-h e_i+h e_j) + f(x-h e_i-h e_j)] / (4 h^2),
-    symmetrized.  Serves as the numerical oracle for `lse_hessian_analytic`;
-    agreement is ~1e-7 for moderate |x_i| at the default step.
+        [f(x+h e_i+h e_j) - f(x+h e_i-h e_j) - f(x-h e_i+h e_j) + f(x-h e_i-h e_j)] / (4 h^2).
+    All 4 n(n+1)/2 points are built as one array, each as (x + s_i h e_i) + s_j h e_j,
+    and evaluated by one row-wise lse.  Serves as the numerical oracle for
+    `lse_hessian_analytic`; agreement is ~1e-7 for moderate |x_i| at the default step.
     """
     arr = _as_vector(x)
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive, got {h!r}")
     n = arr.shape[0]
+    i, j = np.triu_indices(n)
+    pair = np.arange(i.shape[0])
+    points = np.tile(arr, (4, pair.shape[0], 1))
+    points[:, pair, i] += h * _STENCIL_SIGNS[:, :1]
+    points[:, pair, j] += h * _STENCIL_SIGNS[:, 1:]
+    f = lse_rows(points)
     out = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        for j in range(i, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            out[i, j] = (
-                lse(arr + ei + ej)
-                - lse(arr + ei - ej)
-                - lse(arr - ei + ej)
-                + lse(arr - ei - ej)
-            ) / (4.0 * h * h)
-            out[j, i] = out[i, j]
-    return RealSymmetricMatrix((out + out.T) / 2.0)
+    out[i, j] = out[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4.0 * h * h)
+    return RealSymmetricMatrix(out)
 
 
 def complete_graph_laplacian(n: int) -> RealSymmetricMatrix:

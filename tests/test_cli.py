@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import gtcert
 
 from gtcert import (
     EnsembleSpec,
@@ -159,6 +164,18 @@ class TestCampaignCommands:
         docs = json.loads(out.read_text())
         assert [d["check_kind"] for d in docs] == ["UNITARY_INVARIANCE", "DAVIS_RESTRICTION"]
 
+    def test_non_finite_campaign_exits_2_without_nan(self, tmp_path, capsys):
+        # pnorm:1e6 overflows; the NaN deviation used to count as a violation
+        # and was written as a bare NaN into the report
+        out = tmp_path / "r.json"
+        code = main(["davis-check", "--dim", "8", "--trials", "20", "--seed", "1",
+                     "--fn", "pnorm:1e6", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "trial_seed=" in err
+        assert not out.exists()
+
     def test_report_written_even_on_violation(self, tmp_path):
         # force a violation with an unattainable tolerance on the FD side is not
         # reachable through flags, so use trials with tol too tight for PSD noise
@@ -221,6 +238,20 @@ class TestErratumCommand:
 
     def test_malformed_vector(self, capsys):
         assert main(["erratum-dkd", "--x", "1,abc"]) == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gtcert.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        argv = [sys.executable, "-m", "gtcert", "verify-gt", "--dim", "2",
+                "--trials", "5", "--seed", "1"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("GT_WEAK: ")
+        usage = subprocess.run(argv[:3], capture_output=True, text=True, env=env, timeout=120)
+        assert usage.returncode == 2
 
 
 class TestUsageErrors:

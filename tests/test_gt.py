@@ -11,22 +11,36 @@ from gtcert import (
     CampaignConfig,
     CampaignTrialError,
     CheckResult,
+    ConvergenceFailure,
     DimensionMismatch,
     EnsembleSpec,
     HermitianMatrix,
+    NonFiniteResult,
+    builtin,
+    check_davis_restriction,
+    check_unitary_invariance,
     convexity_check,
     derive_seed,
     eigh,
     gt_strong_check,
     gt_weak_check,
+    hessian_fd,
+    lift,
     log_trace_exp,
     log_trace_exp_product,
+    lse_hessian_analytic,
     matrix_exp,
+    psd_certify,
     random_hermitian,
+    random_unitary,
+    random_vector,
     run_campaign,
     trace_re,
 )
 import gtcert.gt as gt_module
+from gtcert.checks import slack_bound
+from gtcert.errors import require_rows
+from gtcert.gt import CHECK_KINDS
 
 
 def diag(*values):
@@ -163,6 +177,18 @@ class TestCheckResult:
         with pytest.raises(ValueError):
             CheckResult(lhs=0.0, rhs=1.0, slack=1.0, tol=-1e-10, passed=True)
 
+    @pytest.mark.parametrize("fields", [
+        dict(lhs=math.nan),
+        dict(rhs=-math.inf, slack=-math.inf),  # -inf >= -inf once passed
+        dict(slack=math.inf),
+    ])
+    def test_non_finite_fields_are_trial_errors(self, fields):
+        base = dict(lhs=0.0, rhs=0.0, slack=0.0, tol=1e-10, passed=True, trial_seed=5)
+        with pytest.raises(CampaignTrialError) as info:
+            CheckResult(**(base | fields))
+        assert info.value.trial_seed == 5
+        assert isinstance(info.value.cause, NonFiniteResult)
+
 
 class TestSeedDerivation:
     def test_documented_mixing_function(self):
@@ -189,6 +215,37 @@ def config(kind, n=4, trials=50, tol=1e-10, seed=99, kind_ens="gue", scale=1.0, 
     return CampaignConfig(kind, EnsembleSpec(kind_ens, n, scale, seed), trials, tol, **kw)
 
 
+def kind_tol(kind):
+    return 1e-6 if kind == "HESSIAN_FD_MATCH" else 1e-10
+
+
+PAIR_CHECKS = {
+    "GT_WEAK": gt_weak_check,
+    "GT_STRONG": gt_strong_check,
+    "MIDPOINT_CONVEXITY": convexity_check,
+}
+
+
+def replay_slack(cfg, trial_seed):
+    """Slack of one trial, re-drawn from its seed and run through the public single check."""
+    ens, tol, kind = cfg.ensemble, cfg.tol, cfg.check_kind
+
+    def spec(i):
+        return dataclasses.replace(ens, seed=derive_seed(trial_seed, i))
+
+    if kind in PAIR_CHECKS:
+        return PAIR_CHECKS[kind](random_hermitian(spec(0)), random_hermitian(spec(1)), tol).slack
+    if kind == "UNITARY_INVARIANCE":
+        u = random_unitary(ens.n, derive_seed(trial_seed, 1))
+        return check_unitary_invariance(lift(builtin("lse")), random_hermitian(spec(0)), u, tol).slack
+    x = random_vector(spec(0))
+    if kind == "DAVIS_RESTRICTION":
+        return check_davis_restriction(builtin("lse"), x, tol).slack
+    if kind == "HESSIAN_PSD":
+        return psd_certify(lse_hessian_analytic(x), tol).min_eigenvalue
+    return -float(np.max(np.abs(lse_hessian_analytic(x).entries - hessian_fd(x).entries)))
+
+
 class TestRunCampaign:
     @pytest.mark.parametrize("kind", [
         "GT_WEAK", "MIDPOINT_CONVEXITY", "HESSIAN_PSD", "UNITARY_INVARIANCE",
@@ -212,11 +269,51 @@ class TestRunCampaign:
         assert serial.to_json_dict() | {"wall_time_s": 0} == parallel.to_json_dict() | {"wall_time_s": 0}
 
     def test_worst_trial_seed_replays(self):
-        report = run_campaign(config("GT_WEAK", trials=30))
-        ens = report.config.ensemble
-        a = random_hermitian(dataclasses.replace(ens, seed=derive_seed(report.worst_trial_seed, 0)))
-        b = random_hermitian(dataclasses.replace(ens, seed=derive_seed(report.worst_trial_seed, 1)))
-        assert gt_weak_check(a, b).slack == report.worst_slack
+        # over more than one chunk, every kind's worst slack is exactly the
+        # slack of its public single check on the worst trial
+        for kind in CHECK_KINDS:
+            for n in (1, 2, 8):
+                trials = gt_module._chunk_trials(n) + 6
+                report = run_campaign(config(kind, n=n, trials=trials, tol=kind_tol(kind)))
+                slack = replay_slack(report.config, report.worst_trial_seed)
+                assert slack == report.worst_slack, (kind, n)
+
+    def test_report_independent_of_chunk_size(self, monkeypatch):
+        for kind in CHECK_KINDS:
+            cfg = config(kind, n=3, trials=gt_module._chunk_trials(3) + 6, tol=kind_tol(kind))
+            chunked = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
+            monkeypatch.setattr(gt_module, "_CHUNK_ENTRIES", 1)
+            one_by_one = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
+            monkeypatch.undo()
+            assert chunked == one_by_one, kind
+
+    def test_non_finite_result_is_a_trial_error(self):
+        # pnorm:1e6 overflows to inf on both sides of the restriction, so the
+        # deviation is NaN; it used to count as a violation with worst_slack=nan
+        cfg = CampaignConfig(
+            "DAVIS_RESTRICTION", EnsembleSpec("gue", 8, 1.0, 1), 20, 1e-10, fn="pnorm:1e6"
+        )
+        with pytest.raises(CampaignTrialError) as info:
+            run_campaign(cfg)
+        assert isinstance(info.value.cause, NonFiniteResult)
+        assert info.value.trial_seed == derive_seed(1, info.value.trial_index)
+
+    def test_strong_bound_finite_for_large_commuting_pairs(self):
+        # diagonal matrices commute, so the strong bound holds with equality;
+        # the matrix-exponential form underflowed to rhs=-inf and passed on
+        # -inf >= -inf
+        report = run_campaign(
+            CampaignConfig("GT_STRONG", EnsembleSpec("diag", 3, 1000.0, 1), 50, 1e-10)
+        )
+        assert report.violations == 0
+        assert math.isfinite(report.worst_slack)
+        r = gt_strong_check(
+            *(random_hermitian(EnsembleSpec("diag", 3, 1000.0, derive_seed(report.worst_trial_seed, i)))
+              for i in (0, 1)),
+            1e-10,
+        )
+        assert r.slack == report.worst_slack
+        assert abs(r.slack) <= slack_bound(r.rhs, 1e-10)
 
     def test_json_field_names(self):
         doc = run_campaign(config("HESSIAN_PSD", trials=5)).to_json_dict()
@@ -239,14 +336,41 @@ class TestRunCampaign:
         assert report.violations == 0
 
     def test_trial_error_carries_seed(self, monkeypatch):
-        def explode(*args, **kwargs):
+        def explode(f, *stacks):
             raise DimensionMismatch("synthetic failure")
 
-        monkeypatch.setattr(gt_module, "gt_weak_check", explode)
+        def explode_row_2(f, *stacks):
+            require_rows(np.arange(len(stacks[0])) != 2, DimensionMismatch, "synthetic failure")
+
+        check = gt_module.CHECKS["GT_WEAK"]
+        for evaluate, index in ((explode, 0), (explode_row_2, 2)):
+            monkeypatch.setitem(
+                gt_module.CHECKS, "GT_WEAK", dataclasses.replace(check, evaluate=evaluate)
+            )
+            with pytest.raises(CampaignTrialError) as info:
+                run_campaign(config("GT_WEAK", trials=3))
+            assert info.value.trial_index == index
+            assert info.value.trial_seed == derive_seed(99, index)
+
+    def test_solver_failure_names_its_trial(self, monkeypatch):
+        # A+B of trial 3 sits at row 2T + 3 of GT_WEAK's concatenated stack
+        cfg = config("GT_WEAK", n=3, trials=5)
+        spec = [dataclasses.replace(cfg.ensemble, seed=derive_seed(derive_seed(99, 3), i))
+                for i in (0, 1)]
+        bad = random_hermitian(spec[0]).entries + random_hermitian(spec[1]).entries
+        solve = np.linalg.eigvalsh
+
+        def flaky(m):
+            if any(np.array_equal(x, bad) for x in m.reshape(-1, 3, 3)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
         with pytest.raises(CampaignTrialError) as info:
-            run_campaign(config("GT_WEAK", trials=3))
-        assert info.value.trial_index == 0
-        assert info.value.trial_seed == derive_seed(99, 0)
+            run_campaign(cfg)
+        assert info.value.trial_index == 3
+        assert info.value.trial_seed == derive_seed(99, 3)
+        assert isinstance(info.value.cause, ConvergenceFailure)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

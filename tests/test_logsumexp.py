@@ -153,7 +153,35 @@ class TestHessianAnalytic:
         )
 
 
+def hessian_fd_loop(x, h=1e-4):
+    """The stencil as a double loop of scalar lse calls: the oracle for `hessian_fd`."""
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        for j in range(i, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            out[i, j] = (
+                lse(arr + ei + ej)
+                - lse(arr + ei - ej)
+                - lse(arr - ei + ej)
+                + lse(arr - ei - ej)
+            ) / (4.0 * h * h)
+            out[j, i] = out[i, j]
+    return out
+
+
 class TestHessianFiniteDifference:
+    def test_vectorized_stencil_matches_double_loop(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 5, 16):
+            for h in (1e-4, 1e-3):
+                x = rng.uniform(-10.0, 10.0, n)
+                np.testing.assert_array_equal(hessian_fd(x, h).entries, hessian_fd_loop(x, h))
+
     def test_agrees_with_analytic_at_frozen_point(self):
         dev = np.abs(
             hessian_fd([0.0, LOG_3]).entries - lse_hessian_analytic([0.0, LOG_3]).entries
