@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .errors import Error
+from .errors import Error, NonFiniteResult
 from .gt import (
     CampaignConfig,
     CampaignReport,
@@ -237,6 +238,8 @@ def _cmd_erratum(args) -> int:
 def _cmd_eval(args) -> int:
     func = lift(builtin(args.fn))
     value = lift_eval(func, load_matrix(args.matrix))
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"{func.name} of {args.matrix} is not finite (the function overflows)")
     print(f"{value:.17g}")
     _write_out(args.out, {"fn": func.name, "matrix": args.matrix, "value": value})
     return 0

@@ -12,17 +12,18 @@ checks share no intermediate results.
 A campaign runs `trials` independent checks.  Trial i derives its seed from
 the master seed by the SplitMix64 finalizer (a fixed pure mixing function), so
 any trial can be replayed in isolation.  Each check kind is an entry of
-`CHECKS`: a per-trial sampler that returns raw arrays, and an evaluator that
-checks a whole chunk of stacked trials with one eigensolver call.  The public
-single checks run the same evaluators on a batch of one, so a replayed trial
-reproduces the campaign's numbers bit for bit.
+`CHECKS`: the random streams a trial draws (each seeded by its own sub-seed of
+the trial seed), and an evaluator that checks a whole chunk of stacked trials
+with one eigensolver call.  The public single checks run the same evaluators
+on a batch of one, so a replayed trial reproduces the campaign's numbers bit
+for bit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -33,10 +34,12 @@ from .hermitian import (
     EnsembleSpec,
     HermitianMatrix,
     conj_t,
-    haar_draw,
-    hermitian_draw,
+    haar_stack,
+    hermitian_stack,
+    pcg64_states,
+    reseeded,
     stacked_spectrum,
-    vector_draw,
+    vector_stack,
 )
 from .logsumexp import hessian_fd, hessian_rows, lse_rows
 from .spectral import (
@@ -56,6 +59,13 @@ _GAMMA = 0x9E3779B97F4A7C15
 _CHUNK_ENTRIES = 4096
 
 
+# Trial seeds and generator states are derived for at least this many trials
+# at a time: `pcg64_states` has a fixed cost of a few hundred microseconds per
+# call, which a chunk of 16 trials would not amortize, while a bounded block
+# keeps a long campaign's memory flat.
+_SEED_BLOCK = 1024
+
+
 def _chunk_trials(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // (n * n))
 
@@ -71,6 +81,15 @@ def derive_seed(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def derive_seeds(seeds, indices) -> np.ndarray:
+    """`derive_seed` elementwise over broadcast uint64 arrays, wrapping mod 2^64."""
+    z, i = np.broadcast_arrays(np.asarray(seeds, np.uint64), np.asarray(indices, np.uint64))
+    z = z + (i + np.uint64(1)) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _log_trace_exp_rows(stack: np.ndarray) -> np.ndarray:
@@ -162,51 +181,51 @@ def convexity_check(
     return first_result(_midpoint(None, a.entries[None], b.entries[None]), tol)
 
 
-def _pair(ens: EnsembleSpec, trial_seed: int):
-    return (
-        hermitian_draw(ens.kind, ens.n, ens.scale, derive_seed(trial_seed, 0)),
-        hermitian_draw(ens.kind, ens.n, ens.scale, derive_seed(trial_seed, 1)),
-    )
+def _matrices(ens: EnsembleSpec, rngs) -> np.ndarray:
+    return hermitian_stack(ens.kind, ens.n, ens.scale, rngs)
 
 
-def _rotation(ens: EnsembleSpec, trial_seed: int):
-    return (
-        hermitian_draw(ens.kind, ens.n, ens.scale, derive_seed(trial_seed, 0)),
-        haar_draw(ens.n, derive_seed(trial_seed, 1)),
-    )
+def _unitaries(ens: EnsembleSpec, rngs) -> np.ndarray:
+    return haar_stack(ens.n, rngs)
 
 
-def _vector(ens: EnsembleSpec, trial_seed: int):
-    return (vector_draw(ens.kind, ens.n, ens.scale, derive_seed(trial_seed, 0)),)
+def _vectors(ens: EnsembleSpec, rngs) -> np.ndarray:
+    return vector_stack(ens.kind, ens.n, ens.scale, rngs)
+
+
+_PAIR = (_matrices, _matrices)
+_ROTATION = (_matrices, _unitaries)
+_VECTOR = (_vectors,)
 
 
 @dataclass(frozen=True)
 class CheckKind:
-    """How a campaign samples one trial and checks a chunk of them.
+    """How a campaign samples a chunk of trials and checks it.
 
-    `sample(ensemble, trial_seed)` returns the trial's raw arrays.  The runner
-    stacks each of them over the chunk and calls `evaluate(f, *stacks)`, which
-    returns (lhs, rhs, slack) arrays with one entry per trial; `f` is the
-    campaign's built-in function, used by the kinds that lift one.  An
-    evaluator may concatenate stacks of T trials before a solver call, so an
-    Error's `row` names trial `row % T`.
+    `streams[k](ensemble, generators)` draws stream k of every trial of the
+    chunk as one stack; stream k of a trial is seeded by
+    `derive_seed(trial_seed, k)`.  The runner then calls
+    `evaluate(f, *stacks)`, which returns (lhs, rhs, slack) arrays with one
+    entry per trial; `f` is the campaign's built-in function, used by the
+    kinds that lift one.  An evaluator may concatenate stacks of T trials
+    before a solver call, so an Error's `row` names trial `row % T`.
     """
 
-    sample: Callable[[EnsembleSpec, int], tuple]
+    streams: tuple
     evaluate: Callable[..., tuple]
 
 
 CHECKS = {
-    "GT_WEAK": CheckKind(_pair, _gt_weak),
-    "MIDPOINT_CONVEXITY": CheckKind(_pair, _midpoint),
-    "HESSIAN_PSD": CheckKind(_vector, _hessian_psd),
-    "UNITARY_INVARIANCE": CheckKind(_rotation, unitary_invariance_rows),
+    "GT_WEAK": CheckKind(_PAIR, _gt_weak),
+    "MIDPOINT_CONVEXITY": CheckKind(_PAIR, _midpoint),
+    "HESSIAN_PSD": CheckKind(_VECTOR, _hessian_psd),
+    "UNITARY_INVARIANCE": CheckKind(_ROTATION, unitary_invariance_rows),
     # tr exp(A+B) <= tr(exp A exp B), a tighter bound than the product form;
     # supplementary, never run unless asked for
-    "GT_STRONG": CheckKind(_pair, _gt_strong),
+    "GT_STRONG": CheckKind(_PAIR, _gt_strong),
     # these two back the compound CLI subcommands
-    "HESSIAN_FD_MATCH": CheckKind(_vector, _hessian_fd_match),
-    "DAVIS_RESTRICTION": CheckKind(_vector, davis_restriction_rows),
+    "HESSIAN_FD_MATCH": CheckKind(_VECTOR, _hessian_fd_match),
+    "DAVIS_RESTRICTION": CheckKind(_VECTOR, davis_restriction_rows),
 }
 
 CHECK_KINDS = tuple(CHECKS)
@@ -274,17 +293,42 @@ class CampaignReport:
         }
 
 
+def _chunks(master: int, trials: int, chunk: int, streams: int) -> Iterator[tuple]:
+    """(first trial index, trial seeds, PCG64 states of each stream) per chunk.
+
+    Seeds and states are derived a block of whole chunks, at least
+    `_SEED_BLOCK` trials, at a time, every stream of the block in one
+    `pcg64_states` call.
+    """
+    block = chunk * max(1, _SEED_BLOCK // chunk)
+    for first in range(0, trials, block):
+        seeds = derive_seeds(master, np.arange(first, min(first + block, trials)))
+        states = pcg64_states(np.concatenate([derive_seeds(seeds, k) for k in range(streams)]))
+        seeds, size = seeds.tolist(), len(seeds)
+        for lo in range(0, size, chunk):
+            hi = min(lo + chunk, size)
+            yield first + lo, seeds[lo:hi], [states[k * size + lo:k * size + hi] for k in range(streams)]
+
+
 def _check_chunk(
-    check: CheckKind, f: SymmetricScalarFunction, ens: EnsembleSpec, start: int, seeds: list
+    check: CheckKind,
+    f: SymmetricScalarFunction,
+    ens: EnsembleSpec,
+    rng: np.random.Generator,
+    start: int,
+    seeds: list,
+    states: list,
 ):
     """(lhs, rhs, slack) arrays of one chunk of trials, all finite.
 
-    Any error, and any non-finite value, becomes a CampaignTrialError naming
-    the trial it belongs to.
+    `states[k]` holds the PCG64 state of stream k of each trial; every draw
+    goes through `rng`, re-seeded per trial and stream.  Any error, and any
+    non-finite value, becomes a CampaignTrialError naming the trial it
+    belongs to.
     """
-    samples = [check.sample(ens, seed) for seed in seeds]
+    stacks = [draw(ens, reseeded(rng, s)) for draw, s in zip(check.streams, states)]
     try:
-        lhs, rhs, slack = check.evaluate(f, *(np.stack(arrays) for arrays in zip(*samples)))
+        lhs, rhs, slack = check.evaluate(f, *stacks)
     except Error as exc:
         row = exc.row % len(seeds)
         raise CampaignTrialError(start + row, seeds[row], exc) from exc
@@ -302,19 +346,20 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     trials in index order (ties on worst slack keep the lowest index), so
     the report does not depend on the chunk size.  A trial that raises, or
     whose lhs, rhs or slack is not finite, aborts the whole campaign with a
-    CampaignTrialError carrying its seed.
+    CampaignTrialError carrying its seed.  Every draw comes from one
+    generator owned by this call, re-seeded per trial stream.
     """
     t0 = time.perf_counter()
     ens, tol = config.ensemble, config.tol
     check = CHECKS[config.check_kind]
     f = builtin(config.fn or "lse")
-    chunk = _chunk_trials(ens.n)
+    rng = np.random.Generator(np.random.PCG64(0))  # state replaced before every draw
     violations = 0
     worst_slack = worst_seed = None
-    for start in range(0, config.trials, chunk):
-        stop = min(start + chunk, config.trials)
-        seeds = [derive_seed(ens.seed, i) for i in range(start, stop)]
-        lhs, rhs, slack = _check_chunk(check, f, ens, start, seeds)
+    for start, seeds, states in _chunks(
+        ens.seed, config.trials, _chunk_trials(ens.n), len(check.streams)
+    ):
+        lhs, rhs, slack = _check_chunk(check, f, ens, rng, start, seeds, states)
         violations += int(np.count_nonzero(slack < -tol * np.maximum(1.0, np.abs(rhs))))
         row = int(slack.argmin())
         if worst_slack is None or slack[row] < worst_slack:

@@ -5,12 +5,17 @@ A = V diag(w) V*, a scalar function g is applied as V diag(g(w)) V*.  Nothing
 here evaluates a matrix power series.
 
 Every sampling routine is a pure function of its seed.  The underlying bit
-generator is numpy's PCG64; `GENERATOR_ID` names it in campaign reports.
+generator is numpy's PCG64; `GENERATOR_ID` names it in campaign reports.  The
+samplers draw a stack, one draw per generator they are given: the single-draw
+API gives them `Generator(PCG64(seed))`, and campaigns give them one generator
+re-seeded per draw (`reseeded`) to the states `pcg64_states` derives for many
+seeds at once, which are the states `PCG64(seed)` starts from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -179,65 +184,161 @@ def parse_ensemble_kind(kind: str) -> str:
 
 
 def validate_hermitian(entries, tol: float) -> HermitianMatrix:
-    """Accept a near-Hermitian array and return its symmetrization (M + M*)/2.
+    """Accept a near-Hermitian array and return its symmetrization M/2 + M*/2.
 
     Accepts iff max |M - M*| <= tol * max(1, max |M|).  The returned matrix is
-    exactly conjugate-symmetric with a real diagonal.  Raises NotSquareError or
-    HermiticityViolation.
+    exactly conjugate-symmetric with a real diagonal; halving before adding
+    keeps entries near the double-precision limit finite, and outside the
+    subnormal range gives the same bits as (M + M*)/2.  Raises NotSquareError,
+    NonFiniteInput or HermiticityViolation.
     """
     if not (np.isscalar(tol) and tol >= 0):
         raise ValueError(f"tol must be a nonnegative real, got {tol!r}")
     arr = _as_square(entries, "validate_hermitian")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("matrix contains NaN or infinity")
     residual = np.max(np.abs(arr - arr.conj().T))
     bound = tol * max(1.0, float(np.max(np.abs(arr))))
     if not residual <= bound:
         raise HermiticityViolation(
             f"max |M - M*| = {residual:.3e} exceeds {bound:.3e} (tol={tol:g})"
         )
-    return HermitianMatrix((arr + arr.conj().T) / 2.0)
+    half = 0.5 * arr
+    return HermitianMatrix(half + half.conj().T)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+# numpy's SeedSequence: hashmix/mix constants over uint32 words, a 4-word pool
+_M32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64 multiplier and the 128-bit state modulus of pcg64_set_seed
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M128 = (1 << 128) - 1
 
 
-def hermitian_draw(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
-    """Entries of one ensemble draw as a raw, exactly Hermitian complex array.
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first `count` values of a hash constant that each hashmix multiplies by `mult`.
 
-    `kind` must already be canonical; campaigns call this once per matrix
-    and skip the `HermitianMatrix` wrapper.
+    The sequence does not depend on the data, so it is computed once here.
     """
-    rng = _rng(seed)
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)
+
+
+# mixing the pool takes 4 + 12 hashmix calls; 4 uint64 outputs take 8 words
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int) -> np.ndarray:
+    value = (value ^ consts[k]) * consts[k + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> _XSHIFT)
+
+
+def pcg64_states(seeds) -> list:
+    """(state, inc) that `np.random.PCG64(seed)` starts from, for each uint64 seed.
+
+    Reproduces `SeedSequence(seed).generate_state(4, np.uint64)` in uint32
+    array arithmetic, all seeds at once, then applies pcg64_set_seed:
+    inc = (initseq << 1) | 1 and state = ((inc + initstate) * MULT + inc)
+    mod 2^128.  A seed is hashed as its two 32-bit words (zero-padded to the
+    pool size, which is what numpy does for one word too).  The fixed cost
+    per call is a few hundred microseconds, so derive many seeds per call.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = [(seeds & np.uint64(_M32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
+    words += [np.zeros_like(words[0])] * (_POOL_WORDS - 2)
+    pool = [_hashmix(w, _HASH_A, k) for k, w in enumerate(words)]
+    k = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, k))
+                k += 1
+    out = [_hashmix(pool[i % _POOL_WORDS], _HASH_B, i).astype(np.uint64) for i in range(8)]
+    hi_state, lo_state, hi_seq, lo_seq = (
+        (out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
+    )
+    states = []
+    for a, b, c, d in zip(hi_state, lo_state, hi_seq, lo_seq):
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def reseeded(rng: np.random.Generator, states) -> Iterator[np.random.Generator]:
+    """`rng`, re-seeded to each PCG64 (state, inc) of `states` in turn.
+
+    With states from `pcg64_states`, the k-th yield draws exactly what
+    `Generator(PCG64(seeds[k]))` would; drawing one stream before the next
+    yield is the caller's job.
+    """
+    bit_generator = rng.bit_generator
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def _fresh(seed: int) -> list:
+    return [np.random.Generator(np.random.PCG64(seed))]
+
+
+def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
+    """One ensemble draw per generator, as a (T, n, n) stack of exactly Hermitian arrays.
+
+    `kind` must already be canonical.  Each generator draws its whole matrix
+    before the next is advanced (GUE: the real then the imaginary n x n
+    block), and the symmetrization runs on the stack.
+    """
     if kind == "gue":
-        g = rng.normal(0.0, scale, (n, n)) + 1j * rng.normal(0.0, scale, (n, n))
-        return (g + g.conj().T) / 2.0
+        g = np.stack([rng.normal(0.0, scale, (2, n, n)) for rng in rngs])
+        g = g[:, 0] + 1j * g[:, 1]
+        return (g + conj_t(g)) / 2.0
     if kind == "goe":
-        g = rng.normal(0.0, scale, (n, n))
-        return ((g + g.T) / 2.0).astype(np.complex128)
-    return np.diag(rng.uniform(-scale, scale, n)).astype(np.complex128)
+        g = np.stack([rng.normal(0.0, scale, (n, n)) for rng in rngs])
+        return ((g + g.swapaxes(-1, -2)) / 2.0).astype(np.complex128)
+    d = np.stack([rng.uniform(-scale, scale, n) for rng in rngs])
+    out = np.zeros(d.shape + (n,), dtype=np.complex128)
+    out[:, np.arange(n), np.arange(n)] = d
+    return out
 
 
-def vector_draw(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
-    """Length-n draw from the diagonal-entry law of a canonical ensemble kind."""
-    rng = _rng(seed)
+def vector_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
+    """One length-n draw per generator from the diagonal-entry law, as a (T, n) stack."""
     if kind in ("gue", "goe"):
-        return rng.normal(0.0, scale, n)
-    return rng.uniform(-scale, scale, n)
+        return np.stack([rng.normal(0.0, scale, n) for rng in rngs])
+    return np.stack([rng.uniform(-scale, scale, n) for rng in rngs])
 
 
-def haar_draw(n: int, seed: int) -> np.ndarray:
-    """Entries of a Haar-distributed n x n unitary (see `random_unitary`)."""
-    rng = _rng(seed)
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+def haar_stack(n: int, rngs) -> np.ndarray:
+    """One Haar-distributed n x n unitary per generator, as a (T, n, n) stack.
+
+    QR of a complex Ginibre matrix (one stacked QR call), with column phases
+    fixed so the triangular factor has a positive real diagonal.
+    """
+    g = np.stack([rng.normal(size=(2, n, n)) for rng in rngs])
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # zero diagonal has probability zero; keep the phase defined
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_hermitian(spec: EnsembleSpec) -> HermitianMatrix:
     """Draw one matrix from the ensemble.  Pure function of `spec`."""
-    return HermitianMatrix(hermitian_draw(spec.kind, spec.n, spec.scale, spec.seed))
+    return HermitianMatrix(hermitian_stack(spec.kind, spec.n, spec.scale, _fresh(spec.seed))[0])
 
 
 def random_vector(spec: EnsembleSpec) -> np.ndarray:
@@ -246,7 +347,7 @@ def random_vector(spec: EnsembleSpec) -> np.ndarray:
     gue/goe give i.i.d. N(0, scale^2); diag gives i.i.d. uniform on
     [-scale, scale].  Used by campaigns that need a vector per trial.
     """
-    return vector_draw(spec.kind, spec.n, spec.scale, spec.seed)
+    return vector_stack(spec.kind, spec.n, spec.scale, _fresh(spec.seed))[0]
 
 
 def random_unitary(n: int, seed: int) -> UnitaryMatrix:
@@ -258,7 +359,7 @@ def random_unitary(n: int, seed: int) -> UnitaryMatrix:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return UnitaryMatrix(haar_draw(n, seed))
+    return UnitaryMatrix(haar_stack(n, _fresh(seed))[0])
 
 
 def conj_t(stack: np.ndarray) -> np.ndarray:

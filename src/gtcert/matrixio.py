@@ -2,8 +2,8 @@
 
 A missing "im" means a real symmetric matrix (zero imaginary parts).  Numbers
 are written with Python's shortest round-trip representation, so save followed
-by load reproduces the entries bit for bit.  Hermiticity is enforced on load
-at tolerance 1e-10.
+by load reproduces the entries bit for bit.  Entries must be finite JSON
+numbers, and Hermiticity is enforced on load at tolerance 1e-10.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ def _block(doc: dict, key: str, n: int) -> np.ndarray:
         raise MatrixParseError(f"field {key!r} is not a numeric matrix: {exc}") from None
     if arr.shape != (n, n):
         raise MatrixParseError(f"field {key!r} has shape {arr.shape}, expected ({n}, {n})")
+    # numpy converts true/false and numeric strings to floats; JSON numbers only
+    odd = {type(v) for row in doc[key] for v in row} - {int, float}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise MatrixParseError(f"field {key!r} has non-numeric entries ({names})")
     return arr
 
 

@@ -223,7 +223,9 @@ def _pnorm(p: float) -> SymmetricScalarFunction:
         raise ValueError(f"pnorm requires a finite p >= 1, got {p!r}")
 
     def evaluate_rows(x: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
+        # |x|^p may overflow to inf, which the checks and the CLI reject as non-finite
+        with np.errstate(over="ignore"):
+            return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
 
     return SymmetricScalarFunction(
         f"pnorm:{p:g}", lambda x: float(evaluate_rows(x)), "convex",

@@ -16,6 +16,7 @@ from gtcert import (
     HermiticityViolation,
     HermitianMatrix,
     MatrixParseError,
+    NonFiniteInput,
     dumps_matrix,
     load_matrix,
     loads_matrix,
@@ -70,11 +71,31 @@ class TestMatrixIO:
         {"n": 0, "re": []},                                   # n < 1
         {"n": 1, "re": [["x"]]},                              # non-numeric
         {"n": True, "re": [[0.0]]},                           # bool is not an int here
+        {"n": 1, "re": [[True]]},                             # bool is not a number
+        {"n": 1, "re": [[0.0]], "im": [[False]]},
+        {"n": 1, "re": [["1.5"]]},                            # nor is a numeric string
         [1, 2, 3],                                            # not an object
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(MatrixParseError):
             loads_matrix(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "re": [[NaN, 0.0], [0.0, 0.0]]}',
+        '{"n": 1, "re": [[1e999]]}',
+        '{"n": 1, "re": [[0.0]], "im": [[-Infinity]]}',
+    ])
+    def test_non_finite_entries(self, text):
+        # reported as such, not as a NaN or infinite Hermiticity residual
+        with pytest.raises(NonFiniteInput):
+            loads_matrix(text)
+
+    def test_entries_near_the_double_limit_load(self):
+        # (M + M*)/2 overflowed to inf and failed the exact-symmetry check
+        re = [[1e308, -1e308], [-1e308, 1.7e308]]
+        im = [[0.0, 1e308], [-1e308, 0.0]]
+        a = loads_matrix(json.dumps({"n": 2, "re": re, "im": im}))
+        np.testing.assert_array_equal(a.entries, np.array(re) + 1j * np.array(im))
 
     def test_invalid_json_text(self):
         with pytest.raises(MatrixParseError):
@@ -110,6 +131,18 @@ class TestEvalCommand:
         path = write(tmp_path / "bad.json", {"n": 2, "re": [[0.0, 1.0], [0.0, 0.0]]})
         assert main(["eval", "--fn", "lse", "--matrix", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_overflowing_value_is_an_error(self, tmp_path, capsys):
+        # |800|^1e6 overflows, so pnorm:1e6 is inf; eval used to print inf and exit 0
+        path = write(tmp_path / "a.json", {"n": 2, "re": [[800.0, 0.0], [0.0, 0.0]]})
+        out = tmp_path / "r.json"
+        for extra in ([], ["--out", str(out)]):
+            assert main(["eval", "--fn", "pnorm:1e6", "--matrix", path] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCampaignCommands:

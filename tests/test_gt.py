@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtcert import (
     CampaignConfig,
@@ -38,6 +39,7 @@ from gtcert import (
     trace_re,
 )
 import gtcert.gt as gt_module
+from gtcert.hermitian import pcg64_states
 from gtcert.checks import slack_bound
 from gtcert.errors import require_rows
 from gtcert.gt import CHECK_KINDS
@@ -210,6 +212,29 @@ class TestSeedDerivation:
         assert len(seen) == 10_000
         assert all(0 <= s < 2**64 for s in seen)
 
+    def test_vectorized_matches_scalar(self):
+        indices = np.arange(1100)
+        for seed in (0, 1, 42, 2**64 - 1):
+            seeds = gt_module.derive_seeds(seed, indices)
+            assert seeds.tolist() == [derive_seed(seed, i) for i in range(1100)]
+            for k in (0, 1):
+                assert gt_module.derive_seeds(seeds, k).tolist() == [
+                    derive_seed(s, k) for s in seeds.tolist()
+                ]
+
+    @pytest.mark.parametrize("trials, chunk, streams", [(7, 16, 1), (2100, 64, 2), (1030, 1, 2)])
+    def test_chunks_carry_each_trials_stream_states(self, trials, chunk, streams):
+        # seeds and states come a block at a time; every chunk still gets, per
+        # stream k, the state PCG64(derive_seed(trial_seed, k)) starts from
+        seen = 0
+        for start, seeds, states in gt_module._chunks(2**64 - 1, trials, chunk, streams):
+            assert start == seen and 1 <= len(seeds) <= chunk
+            assert seeds == [derive_seed(2**64 - 1, i) for i in range(start, start + len(seeds))]
+            for k in range(streams):
+                assert states[k] == pcg64_states([derive_seed(s, k) for s in seeds])
+            seen += len(seeds)
+        assert seen == trials
+
 
 def config(kind, n=4, trials=50, tol=1e-10, seed=99, kind_ens="gue", scale=1.0, **kw):
     return CampaignConfig(kind, EnsembleSpec(kind_ens, n, scale, seed), trials, tol, **kw)
@@ -314,6 +339,35 @@ class TestRunCampaign:
         )
         assert r.slack == report.worst_slack
         assert abs(r.slack) <= slack_bound(r.rhs, 1e-10)
+
+    def test_fd_match_holds_at_large_scale(self):
+        # the stencil at x itself lost about |lse(x)|*eps/h^2 to rounding, so
+        # at diag scale 1000 one trial missed the 1e-6 floor (slack -1.40e-6);
+        # at x - max(x) the worst slack is about -5.6e-9
+        report = run_campaign(
+            CampaignConfig("HESSIAN_FD_MATCH", EnsembleSpec("diag", 16, 1000.0, 1), 20, 1e-6)
+        )
+        assert report.violations == 0
+        assert report.worst_slack > -1e-7
+
+    @settings(max_examples=14)
+    @given(
+        kind=st.sampled_from(CHECK_KINDS),
+        ensemble=st.sampled_from(["gue", "goe", "diag"]),
+        n=st.integers(1, 4),
+        log10_scale=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_no_non_finite_report_at_any_scale(self, kind, ensemble, n, log10_scale, seed):
+        cfg = CampaignConfig(
+            kind, EnsembleSpec(ensemble, n, 10.0 ** log10_scale, seed), 3, kind_tol(kind)
+        )
+        try:
+            report = run_campaign(cfg)
+        except CampaignTrialError:
+            return
+        assert math.isfinite(report.worst_slack)
+        json.dumps(report.to_json_dict(), allow_nan=False)
 
     def test_json_field_names(self):
         doc = run_campaign(config("HESSIAN_PSD", trials=5)).to_json_dict()

@@ -26,7 +26,14 @@ from gtcert import (
     trace_re,
     validate_hermitian,
 )
-from gtcert.hermitian import parse_ensemble_kind
+from gtcert.hermitian import (
+    haar_stack,
+    hermitian_stack,
+    parse_ensemble_kind,
+    pcg64_states,
+    reseeded,
+    vector_stack,
+)
 
 
 def expm_taylor(m: np.ndarray, terms: int = 24) -> np.ndarray:
@@ -218,6 +225,73 @@ class TestRandomUnitary:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             random_unitary(0, 1)
+
+
+def previous_draws(kind, n, scale, seed):
+    """The per-seed formulas the stack samplers replaced, each from a fresh PCG64(seed)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "gue":
+        g = rng.normal(0.0, scale, (n, n)) + 1j * rng.normal(0.0, scale, (n, n))
+        matrix = (g + g.conj().T) / 2.0
+    elif kind == "goe":
+        g = rng.normal(0.0, scale, (n, n))
+        matrix = ((g + g.T) / 2.0).astype(np.complex128)
+    else:
+        matrix = np.diag(rng.uniform(-scale, scale, n)).astype(np.complex128)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "diag":
+        vector = rng.uniform(-scale, scale, n)
+    else:
+        vector = rng.normal(0.0, scale, n)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    return matrix, vector, q * (d / np.abs(d))
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestCampaignSeeding:
+    def test_states_match_numpy_seeding(self):
+        rng = np.random.default_rng(2024)
+        seeds = EDGE_SEEDS + rng.integers(0, 2**64, 3000, dtype=np.uint64).tolist()
+        states = pcg64_states(seeds)
+        assert len(states) == len(seeds)
+        for seed, (state, inc) in zip(seeds, states):
+            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+
+    @pytest.mark.parametrize("kind", ["gue", "goe", "diag"])
+    def test_stack_samplers_match_single_draws(self, kind):
+        # one re-seeded generator draws, bit for bit, what PCG64(seed) draws
+        seeds = EDGE_SEEDS + [123456789]
+        rng = np.random.Generator(np.random.PCG64(0))
+        for n in (1, 2, 8):
+            specs = [EnsembleSpec(kind, n, 2.5, s) for s in seeds]
+            np.testing.assert_array_equal(
+                hermitian_stack(kind, n, 2.5, reseeded(rng, pcg64_states(seeds))),
+                np.stack([random_hermitian(spec).entries for spec in specs]),
+            )
+            np.testing.assert_array_equal(
+                vector_stack(kind, n, 2.5, reseeded(rng, pcg64_states(seeds))),
+                np.stack([random_vector(spec) for spec in specs]),
+            )
+            np.testing.assert_array_equal(
+                haar_stack(n, reseeded(rng, pcg64_states(seeds))),
+                np.stack([random_unitary(n, s).entries for s in seeds]),
+            )
+
+    @pytest.mark.parametrize("kind", ["gue", "goe", "diag"])
+    def test_single_draws_keep_their_bits(self, kind):
+        for n in (1, 2, 8):
+            for seed in (0, 5, 2**64 - 1):
+                matrix, vector, unitary = previous_draws(kind, n, 0.75, seed)
+                spec = EnsembleSpec(kind, n, 0.75, seed)
+                np.testing.assert_array_equal(random_hermitian(spec).entries, matrix)
+                np.testing.assert_array_equal(random_vector(spec), vector)
+                np.testing.assert_array_equal(random_unitary(n, seed).entries, unitary)
 
 
 class TestEigh:
