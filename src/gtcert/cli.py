@@ -8,6 +8,7 @@ was found (the report is still written), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -80,23 +81,27 @@ def _campaign_flags(sub: argparse.ArgumentParser, matrices: bool = False) -> Non
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the gtcert command line; each subcommand sets `run` to its handler."""
     parser = argparse.ArgumentParser(
         prog="gtcert",
         description="Randomized certification of the Golden-Thompson trace "
         "inequality and the convexity structure behind it.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
+    sub = parser.add_subparsers(required=True, metavar="subcommand")
 
     p = sub.add_parser("verify-gt", help="certify log tr exp(A+B) <= log tr exp(A) + log tr exp(B)")
     _campaign_flags(p, matrices=True)
+    p.set_defaults(run=functools.partial(_cmd_verify, kind="GT_WEAK"))
 
     p = sub.add_parser("verify-convexity", help="certify midpoint convexity of log tr exp")
     _campaign_flags(p, matrices=True)
+    p.set_defaults(run=functools.partial(_cmd_verify, kind="MIDPOINT_CONVEXITY"))
 
     p = sub.add_parser("hessian-check",
                        help="certify the log-sum-exp Hessian: PSD spectrum and "
                        "agreement with finite differences")
     _campaign_flags(p)
+    p.set_defaults(run=_cmd_hessian)
 
     p = sub.add_parser("davis-check",
                        help="certify unitary invariance of a lifted function and "
@@ -104,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _campaign_flags(p)
     p.add_argument("--fn", default="lse", metavar="NAME",
                    help="built-in function to lift (default lse)")
+    p.set_defaults(run=_cmd_davis)
 
     p = sub.add_parser("erratum-dkd",
                        help="print the Hessian next to the product D K D and "
@@ -111,12 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_csv_vector, required=True, metavar="CSV",
                    help="evaluation point, comma-separated")
     p.add_argument("--out", metavar="PATH", help="write the comparison as JSON")
+    p.set_defaults(run=_cmd_erratum)
 
     p = sub.add_parser("eval", help="evaluate a built-in lifted function on a matrix file")
     p.add_argument("--fn", required=True, metavar="NAME",
                    help="one of lse, max, min, sum, pnorm:<p>")
     p.add_argument("--matrix", required=True, metavar="PATH", help="matrix file")
     p.add_argument("--out", metavar="PATH", help="write {fn, matrix, value} as JSON")
+    p.set_defaults(run=_cmd_eval)
 
     return parser
 
@@ -245,26 +253,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the tree costs more than parsing a command line with it, so
+    # `main` builds it once per process; nothing mutates it afterwards
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help itself
         return int(exc.code or 0)
     try:
-        if args.command == "verify-gt":
-            return _cmd_verify(args, "GT_WEAK")
-        if args.command == "verify-convexity":
-            return _cmd_verify(args, "MIDPOINT_CONVEXITY")
-        if args.command == "hessian-check":
-            return _cmd_hessian(args)
-        if args.command == "davis-check":
-            return _cmd_davis(args)
-        if args.command == "erratum-dkd":
-            return _cmd_erratum(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (Error, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

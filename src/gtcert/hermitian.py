@@ -233,7 +233,7 @@ _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
 
 
-def _hashmix(value: np.ndarray, consts: np.ndarray, k: int) -> np.ndarray:
+def _hashmix(value: np.ndarray, consts: np.ndarray, k) -> np.ndarray:
     value = (value ^ consts[k]) * consts[k + 1]
     return value ^ (value >> _XSHIFT)
 
@@ -243,6 +243,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> _XSHIFT)
 
 
+def _steps(k: int, count: int) -> np.ndarray:
+    """Hash-constant indices of `count` consecutive hashmix calls, as a column for (count, N) rows."""
+    return np.arange(k, k + count)[:, None]
+
+
 def pcg64_states(seeds) -> list:
     """(state, inc) that `np.random.PCG64(seed)` starts from, for each uint64 seed.
 
@@ -250,20 +255,23 @@ def pcg64_states(seeds) -> list:
     array arithmetic, all seeds at once, then applies pcg64_set_seed:
     inc = (initseq << 1) | 1 and state = ((inc + initstate) * MULT + inc)
     mod 2^128.  A seed is hashed as its two 32-bit words (zero-padded to the
-    pool size, which is what numpy does for one word too).  The fixed cost
-    per call is a few hundred microseconds, so derive many seeds per call.
+    pool size, which is what numpy does for one word too).  Hashmix calls that
+    do not depend on each other run as one (count, N) operation.  The fixed
+    cost per call is a few hundred microseconds, so derive many seeds per call.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    words = [(seeds & np.uint64(_M32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
-    words += [np.zeros_like(words[0])] * (_POOL_WORDS - 2)
-    pool = [_hashmix(w, _HASH_A, k) for k, w in enumerate(words)]
+    words = np.zeros((_POOL_WORDS,) + seeds.shape, dtype=np.uint32)
+    words[0] = (seeds & np.uint64(_M32)).astype(np.uint32)
+    words[1] = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = _hashmix(words, _HASH_A, _steps(0, _POOL_WORDS))
     k = _POOL_WORDS
     for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, k))
-                k += 1
-    out = [_hashmix(pool[i % _POOL_WORDS], _HASH_B, i).astype(np.uint64) for i in range(8)]
+        # the source word mixes into the three others in turn; it does not
+        # change meanwhile, so the three hashmix/mix steps are independent
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, _steps(k, len(dst))))
+        k += len(dst)
+    out = _hashmix(pool[np.arange(8) % _POOL_WORDS], _HASH_B, _steps(0, 8)).astype(np.uint64)
     hi_state, lo_state, hi_seq, lo_seq = (
         (out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
     )
@@ -274,43 +282,66 @@ def pcg64_states(seeds) -> list:
     return states
 
 
-def reseeded(rng: np.random.Generator, states) -> Iterator[np.random.Generator]:
+class reseeded:
     """`rng`, re-seeded to each PCG64 (state, inc) of `states` in turn.
 
-    With states from `pcg64_states`, the k-th yield draws exactly what
-    `Generator(PCG64(seeds[k]))` would; drawing one stream before the next
-    yield is the caller's job.
+    With states from `pcg64_states`, the k-th generator of the iteration draws
+    exactly what `Generator(PCG64(seeds[k]))` would; drawing one stream before
+    the next is the caller's job.  It has a length, so a sampler can allocate
+    its stack before the first draw.
     """
-    bit_generator = rng.bit_generator
-    for state, inc in states:
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+
+    def __init__(self, rng: np.random.Generator, states):
+        self._rng, self._states = rng, states
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        bit_generator = self._rng.bit_generator
+        pcg = {"state": 0, "inc": 0}
+        full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        for state, inc in self._states:
+            pcg["state"], pcg["inc"] = state, inc
+            bit_generator.state = full
+            yield self._rng
 
 
 def _fresh(seed: int) -> list:
     return [np.random.Generator(np.random.PCG64(seed))]
 
 
+def _normal_stack(rngs, shape: tuple, scale: float = 1.0) -> np.ndarray:
+    """One `normal(0.0, scale, shape)` draw per generator, stacked.
+
+    Each generator fills its row of one preallocated stack with standard
+    normals; scaling the stack and adding 0.0 afterwards gives the bits of
+    numpy's 0.0 + scale * z, including the sign of zero.
+    """
+    out = np.empty((len(rngs),) + shape)
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    out *= scale
+    out += 0.0
+    return out
+
+
 def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
     """One ensemble draw per generator, as a (T, n, n) stack of exactly Hermitian arrays.
 
-    `kind` must already be canonical.  Each generator draws its whole matrix
-    before the next is advanced (GUE: the real then the imaginary n x n
-    block), and the symmetrization runs on the stack.
+    `kind` must already be canonical; `rngs` is a list of generators or a
+    `reseeded` sequence.  Each generator draws its whole matrix before the
+    next is advanced (GUE: the real then the imaginary n x n block), and the
+    symmetrization runs on the stack.
     """
     if kind == "gue":
-        g = np.stack([rng.normal(0.0, scale, (2, n, n)) for rng in rngs])
+        g = _normal_stack(rngs, (2, n, n), scale)
         g = g[:, 0] + 1j * g[:, 1]
         return (g + conj_t(g)) / 2.0
     if kind == "goe":
-        g = np.stack([rng.normal(0.0, scale, (n, n)) for rng in rngs])
+        g = _normal_stack(rngs, (n, n), scale)
         return ((g + g.swapaxes(-1, -2)) / 2.0).astype(np.complex128)
-    d = np.stack([rng.uniform(-scale, scale, n) for rng in rngs])
+    d = vector_stack(kind, n, scale, rngs)
     out = np.zeros(d.shape + (n,), dtype=np.complex128)
     out[:, np.arange(n), np.arange(n)] = d
     return out
@@ -319,7 +350,7 @@ def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
 def vector_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
     """One length-n draw per generator from the diagonal-entry law, as a (T, n) stack."""
     if kind in ("gue", "goe"):
-        return np.stack([rng.normal(0.0, scale, n) for rng in rngs])
+        return _normal_stack(rngs, (n,), scale)
     return np.stack([rng.uniform(-scale, scale, n) for rng in rngs])
 
 
@@ -329,7 +360,7 @@ def haar_stack(n: int, rngs) -> np.ndarray:
     QR of a complex Ginibre matrix (one stacked QR call), with column phases
     fixed so the triangular factor has a positive real diagonal.
     """
-    g = np.stack([rng.normal(size=(2, n, n)) for rng in rngs])
+    g = _normal_stack(rngs, (2, n, n))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # zero diagonal has probability zero; keep the phase defined

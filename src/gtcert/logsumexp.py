@@ -99,7 +99,9 @@ def lse_rows(x: np.ndarray) -> np.ndarray:
     campaign and a replayed single check compute the same bits.
     """
     m = x.max(axis=-1)
-    return m + np.log(np.exp(x - m[..., None]).sum(axis=-1))
+    w = x - m[..., None]
+    np.exp(w, out=w)  # in place: one temporary the size of x, not two
+    return m + np.log(w.sum(axis=-1))
 
 
 def lse(x) -> float:
@@ -144,6 +146,26 @@ def lse_hessian_analytic(x) -> RealSymmetricMatrix:
 _STENCIL_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
+def hessian_fd_rows(x: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Finite-difference lse Hessians of the rows of a finite (T, n) array, as a (T, n, n) stack.
+
+    The stencil of `hessian_fd` for every row at once: all 4 n(n+1)/2 points
+    of each row, as C-contiguous rows along the last axis, go through one
+    `lse_rows` call.
+    """
+    x = x - x.max(axis=-1, keepdims=True)
+    t, n = x.shape
+    i, j = np.triu_indices(n)
+    pair = np.arange(i.shape[0])
+    points = np.tile(x[:, None, None, :], (1, 4, pair.shape[0], 1))
+    points[:, :, pair, i] += h * _STENCIL_SIGNS[:, :1]
+    points[:, :, pair, j] += h * _STENCIL_SIGNS[:, 1:]
+    f = lse_rows(points)
+    out = np.empty((t, n, n))
+    out[:, i, j] = out[:, j, i] = (f[:, 0] - f[:, 1] - f[:, 2] + f[:, 3]) / (4.0 * h * h)
+    return out
+
+
 def hessian_fd(x, h: float = 1e-4) -> RealSymmetricMatrix:
     """Central finite-difference Hessian of lse, independent of the analytic form.
 
@@ -153,23 +175,14 @@ def hessian_fd(x, h: float = 1e-4) -> RealSymmetricMatrix:
     the all-ones vector, and the rounding error of each entry grows with
     |lse|/h^2, which the shift keeps below (log n)/h^2.  All 4 n(n+1)/2 points
     are built as one array, each as (x + s_i h e_i) + s_j h e_j, and evaluated
-    by one row-wise lse.  Serves as the numerical oracle for
-    `lse_hessian_analytic`; agreement is ~1e-7 at the default step.
+    by one row-wise lse (`hessian_fd_rows` on a batch of one).  Serves as the
+    numerical oracle for `lse_hessian_analytic`; agreement is ~1e-7 at the
+    default step.
     """
     arr = _as_vector(x)
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive, got {h!r}")
-    arr = arr - arr.max()
-    n = arr.shape[0]
-    i, j = np.triu_indices(n)
-    pair = np.arange(i.shape[0])
-    points = np.tile(arr, (4, pair.shape[0], 1))
-    points[:, pair, i] += h * _STENCIL_SIGNS[:, :1]
-    points[:, pair, j] += h * _STENCIL_SIGNS[:, 1:]
-    f = lse_rows(points)
-    out = np.empty((n, n))
-    out[i, j] = out[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4.0 * h * h)
-    return RealSymmetricMatrix(out)
+    return RealSymmetricMatrix(hessian_fd_rows(arr[None], h)[0])
 
 
 def complete_graph_laplacian(n: int) -> RealSymmetricMatrix:

@@ -148,6 +148,15 @@ def check_symmetry(
     )
 
 
+def _deviation(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """-|value - reference|, where inf - inf gives NaN without a numpy warning.
+
+    The non-finite slack then becomes a trial error, as any other does.
+    """
+    with np.errstate(invalid="ignore"):
+        return -np.abs(value - reference)
+
+
 def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.ndarray):
     """(lhs, rhs, slack) arrays of F(U* A U) against F(A) for stacks of A and U.
 
@@ -163,7 +172,7 @@ def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.nda
                  HermiticityViolation, "U* A U is not Hermitian within 1e-10")
     values = f.rows(stacked_spectrum(np.concatenate([a, (m + mh) / 2.0])))
     reference, rotated = np.split(values, 2)
-    return rotated, reference, -np.abs(rotated - reference)
+    return rotated, reference, _deviation(rotated, reference)
 
 
 def check_unitary_invariance(
@@ -206,7 +215,7 @@ def davis_restriction_rows(f: SymmetricScalarFunction, x: np.ndarray):
     d[:, np.arange(n), np.arange(n)] = x
     direct = f.rows(x)
     lifted = f.rows(stacked_spectrum(d))
-    return lifted, direct, -np.abs(lifted - direct)
+    return lifted, direct, _deviation(lifted, direct)
 
 
 def check_davis_restriction(f: SymmetricScalarFunction, x, tol: float) -> CheckResult:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -23,6 +24,7 @@ from gtcert import (
     random_hermitian,
     save_matrix,
 )
+from gtcert import cli
 from gtcert.cli import main
 
 
@@ -273,18 +275,29 @@ class TestErratumCommand:
         assert main(["erratum-dkd", "--x", "1,abc"]) == 2
 
 
+def run_module(*args):
+    """`python -m gtcert args...` in a fresh interpreter, with this checkout's gtcert."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gtcert.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "gtcert", *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gtcert.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        argv = [sys.executable, "-m", "gtcert", "verify-gt", "--dim", "2",
-                "--trials", "5", "--seed", "1"]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module("verify-gt", "--dim", "2", "--trials", "5", "--seed", "1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("GT_WEAK: ")
-        usage = subprocess.run(argv[:3], capture_output=True, text=True, env=env, timeout=120)
-        assert usage.returncode == 2
+        assert run_module().returncode == 2
+
+    def test_overflowing_davis_check_prints_only_the_error_line(self):
+        # inf - inf in the deviation printed numpy's two-line RuntimeWarning
+        # first; pytest's own warning capture hides it in-process
+        proc = run_module("davis-check", "--fn", "pnorm:1e6", "--seed", "1",
+                          "--trials", "5", "--dim", "8")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestUsageErrors:
@@ -304,3 +317,61 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "subcommand" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def calls(self, tmp_path):
+        a = write(tmp_path / "a.json", {"n": 2, "re": [[1.0, 0.0], [0.0, -1.0]]})
+        b = write(tmp_path / "b.json", {"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]})
+        return [
+            ["verify-gt", "--matrix", a, "--matrix-b", b, "--seed", "0"],
+            ["verify-gt", "--seed", "1", "--bogus"],
+            ["eval", "--fn", "lse", "--matrix", a],
+            ["--help"],
+            ["hessian-check", "--dim", "4", "--trials", "20", "--seed", "3"],
+            ["eval", "--fn", "pnorm:2"],
+            ["davis-check", "--dim", "3", "--trials", "20", "--seed", "5", "--fn", "max"],
+            ["verify-gt", "--help"],
+            ["verify-gt", "--matrix", b, "--matrix-b", a, "--seed", "0"],
+        ]
+
+    def outcomes(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        seen = []
+        for argv in self.calls(tmp_path):
+            if out.exists():
+                out.unlink()
+            code = main(argv + ["--out", str(out)] if "--help" not in argv else argv)
+            printed = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            if written is not None:  # the one field a report may vary in
+                written = re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', written)
+            seen.append((argv, code, printed.out, printed.err, written))
+        return seen
+
+    def test_repeated_calls_match_a_fresh_parser_per_call(self, tmp_path, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        reused = self.outcomes(tmp_path, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outcomes(tmp_path, capsys)
+        assert reused == fresh
+        assert [code for _, code, *_ in reused] == [0, 2, 0, 0, 0, 2, 0, 0, 0]
+        assert all(written for argv, code, _, _, written in reused
+                   if code == 0 and "--help" not in argv)
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_builds_its_parser_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for argv in self.calls(tmp_path):
+            main(argv)
+        assert len(built) == 1

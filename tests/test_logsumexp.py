@@ -20,6 +20,7 @@ from gtcert import (
     softmax,
     weighted_laplacian,
 )
+from gtcert.logsumexp import hessian_fd_rows
 
 LOG_3 = 1.0986122886681098
 
@@ -184,6 +185,14 @@ class TestHessianFiniteDifference:
                 np.testing.assert_array_equal(
                     hessian_fd(x, h).entries, hessian_fd_loop(x - x.max(), h)
                 )
+
+    def test_row_kernel_matches_double_loop_per_row(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 5, 16):
+            x = rng.uniform(-10.0, 10.0, (4, n))
+            stack = hessian_fd_rows(x, 1e-4)
+            for row, fd in zip(x, stack):
+                np.testing.assert_array_equal(fd, hessian_fd_loop(row - row.max(), 1e-4))
 
     def test_agrees_with_analytic_at_frozen_point(self):
         dev = np.abs(
