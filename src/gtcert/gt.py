@@ -52,22 +52,28 @@ from .spectral import (
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# Matrix entries per stacked chunk: 4096 // n^2 trials, at least one.  Small n
-# gets chunks large enough to amortize the per-chunk numpy calls; from n = 64
-# on, where the eigensolver dominates anyway, a chunk is one trial, so a
-# campaign holds no more memory than a single check does.
-_CHUNK_ENTRIES = 4096
+# float64 entries (512 KiB) a chunk may hold while it is sampled and
+# evaluated; a chunk of a check kind holds `_CHUNK_ENTRIES // entries(n)`
+# trials, at least one.  Swept on a shared 2-vCPU x86-64 box: the matrix kinds
+# keep 4096 // n^2 trials (64 at n = 8, one from n = 46 on, so an n = 64
+# campaign holds no more memory than a single check), because 256-trial chunks
+# at n = 8 and 12-trial chunks at n = 64 ran 5% and 11% slower.  At n = 16,
+# HESSIAN_PSD chunks of 85 trials took about 16.7 us per trial against 19.3 at
+# 16, DAVIS_RESTRICTION chunks of 128 about 6.2 us against 8.9, and
+# HESSIAN_FD_MATCH chunks of 7 about 116 us, 110 at 16 and 157 at 32.
+_CHUNK_ENTRIES = 65536
 
 
 # Trial seeds and generator states are derived for at least this many trials
-# at a time: `pcg64_states` has a fixed cost of a few hundred microseconds per
-# call, which a chunk of 16 trials would not amortize, while a bounded block
-# keeps a long campaign's memory flat.
+# at a time: `pcg64_states` costs 50-90 us per call whatever the number of
+# seeds (about 100 array operations), plus about 0.2-0.3 us per seed, so a
+# chunk of 16 trials would not amortize it, while a bounded block keeps a long
+# campaign's memory flat.
 _SEED_BLOCK = 1024
 
 
-def _chunk_trials(n: int) -> int:
-    return max(1, _CHUNK_ENTRIES // (n * n))
+def _chunk_trials(check: "CheckKind", n: int) -> int:
+    return max(1, _CHUNK_ENTRIES // check.entries(n))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -84,11 +90,15 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def derive_seeds(seeds, indices) -> np.ndarray:
-    """`derive_seed` elementwise over broadcast uint64 arrays, wrapping mod 2^64."""
-    z, i = np.broadcast_arrays(np.asarray(seeds, np.uint64), np.asarray(indices, np.uint64))
-    z = z + (i + np.uint64(1)) * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    """`derive_seed` elementwise, broadcasting `seeds` against `indices`, wrapping mod 2^64.
+
+    The arithmetic calls ufuncs rather than operators: numpy warns when an
+    operator on uint64 scalars wraps, and a ufunc wraps silently.
+    """
+    z = np.multiply(np.add(np.asarray(indices, np.uint64), np.uint64(1)), np.uint64(_GAMMA))
+    z = np.add(np.asarray(seeds, np.uint64), z)
+    z = np.multiply(z ^ (z >> np.uint64(30)), np.uint64(0xBF58476D1CE4E5B9))
+    z = np.multiply(z ^ (z >> np.uint64(27)), np.uint64(0x94D049BB133111EB))
     return z ^ (z >> np.uint64(31))
 
 
@@ -130,14 +140,20 @@ def _midpoint(f, a, b):
     return fm, rhs, rhs - fm
 
 
+def _require_finite_vectors(x):
+    # the row kernels do not validate: a -inf entry gets softmax weight 0, so
+    # the Hessian and the stencil stay finite and the trial would pass
+    require_rows(np.isfinite(x).all(axis=1), NonFiniteInput, "vector contains NaN or infinity")
+
+
 def _hessian_psd(f, x):
+    _require_finite_vectors(x)
     w_min = stacked_spectrum(hessian_rows(x))[:, 0]
     return w_min, np.zeros_like(w_min), w_min
 
 
 def _hessian_fd_match(f, x):
-    # the row kernel does not validate, and a -inf entry gives a finite stencil
-    require_rows(np.isfinite(x).all(axis=1), NonFiniteInput, "vector contains NaN or infinity")
+    _require_finite_vectors(x)
     dev = np.abs(hessian_rows(x) - hessian_fd_rows(x)).max(axis=(1, 2))
     return dev, np.zeros_like(dev), -dev
 
@@ -199,6 +215,26 @@ _ROTATION = (_matrices, _unitaries)
 _VECTOR = (_vectors,)
 
 
+def _matrix_entries(n: int) -> int:
+    # the two sampled complex matrices, the solver stack and its temporaries
+    return 16 * n * n
+
+
+def _hessian_entries(n: int) -> int:
+    # the real Hessian, its conjugate for the Hermiticity guard and the solver's copy
+    return 3 * n * n
+
+
+def _diagonal_entries(n: int) -> int:
+    # the real diagonal matrix and the solver's copy
+    return 2 * n * n
+
+
+def _stencil_entries(n: int) -> int:
+    # the 4 n(n+1)/2 stencil points of length n (lse's temporary briefly doubles them)
+    return 2 * n * n * (n + 1)
+
+
 @dataclass(frozen=True)
 class CheckKind:
     """How a campaign samples a chunk of trials and checks it.
@@ -210,23 +246,26 @@ class CheckKind:
     entry per trial; `f` is the campaign's built-in function, used by the
     kinds that lift one.  An evaluator may concatenate stacks of T trials
     before a solver call, so an Error's `row` names trial `row % T`.
+    `entries(n)` is about how many float64 entries one trial holds while its
+    chunk is sampled and evaluated; it sets the chunk size.
     """
 
     streams: tuple
     evaluate: Callable[..., tuple]
+    entries: Callable[[int], int]
 
 
 CHECKS = {
-    "GT_WEAK": CheckKind(_PAIR, _gt_weak),
-    "MIDPOINT_CONVEXITY": CheckKind(_PAIR, _midpoint),
-    "HESSIAN_PSD": CheckKind(_VECTOR, _hessian_psd),
-    "UNITARY_INVARIANCE": CheckKind(_ROTATION, unitary_invariance_rows),
+    "GT_WEAK": CheckKind(_PAIR, _gt_weak, _matrix_entries),
+    "MIDPOINT_CONVEXITY": CheckKind(_PAIR, _midpoint, _matrix_entries),
+    "HESSIAN_PSD": CheckKind(_VECTOR, _hessian_psd, _hessian_entries),
+    "UNITARY_INVARIANCE": CheckKind(_ROTATION, unitary_invariance_rows, _matrix_entries),
     # tr exp(A+B) <= tr(exp A exp B), a tighter bound than the product form;
     # supplementary, never run unless asked for
-    "GT_STRONG": CheckKind(_PAIR, _gt_strong),
+    "GT_STRONG": CheckKind(_PAIR, _gt_strong, _matrix_entries),
     # these two back the compound CLI subcommands
-    "HESSIAN_FD_MATCH": CheckKind(_VECTOR, _hessian_fd_match),
-    "DAVIS_RESTRICTION": CheckKind(_VECTOR, davis_restriction_rows),
+    "HESSIAN_FD_MATCH": CheckKind(_VECTOR, _hessian_fd_match, _stencil_entries),
+    "DAVIS_RESTRICTION": CheckKind(_VECTOR, davis_restriction_rows, _diagonal_entries),
 }
 
 CHECK_KINDS = tuple(CHECKS)
@@ -304,7 +343,7 @@ def _chunks(master: int, trials: int, chunk: int, streams: int) -> Iterator[tupl
     block = chunk * max(1, _SEED_BLOCK // chunk)
     for first in range(0, trials, block):
         seeds = derive_seeds(master, np.arange(first, min(first + block, trials)))
-        states = pcg64_states(np.concatenate([derive_seeds(seeds, k) for k in range(streams)]))
+        states = pcg64_states(derive_seeds(seeds, np.arange(streams)[:, None]).ravel())
         seeds, size = seeds.tolist(), len(seeds)
         for lo in range(0, size, chunk):
             hi = min(lo + chunk, size)
@@ -329,7 +368,10 @@ def _check_chunk(
     """
     stacks = [draw(ens, reseeded(rng, s)) for draw, s in zip(check.streams, states)]
     try:
-        lhs, rhs, slack = check.evaluate(f, *stacks)
+        # a value that overflows, or is NaN, ends as a trial error below, so
+        # numpy's warning would only add a line before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, rhs, slack = check.evaluate(f, *stacks)
     except Error as exc:
         row = exc.row % len(seeds)
         raise CampaignTrialError(start + row, seeds[row], exc) from exc
@@ -358,7 +400,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     violations = 0
     worst_slack = worst_seed = None
     for start, seeds, states in _chunks(
-        ens.seed, config.trials, _chunk_trials(ens.n), len(check.streams)
+        ens.seed, config.trials, _chunk_trials(check, ens.n), len(check.streams)
     ):
         lhs, rhs, slack = _check_chunk(check, f, ens, rng, start, seeds, states)
         violations += int(np.count_nonzero(slack < -tol * np.maximum(1.0, np.abs(rhs))))

@@ -171,6 +171,9 @@ class EnsembleSpec:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
+        if self.kind == "diag" and not np.isfinite(2.0 * self.scale):
+            # numpy's uniform draw needs the width of [-scale, scale] to be finite
+            raise ValueError(f"diag scale must be at most {np.finfo(float).max / 2:.6g}, got {self.scale!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
@@ -212,9 +215,6 @@ _M32 = 0xFFFFFFFF
 _POOL_WORDS = 4
 _XSHIFT = np.uint32(16)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# PCG64 multiplier and the 128-bit state modulus of pcg64_set_seed
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -233,8 +233,41 @@ _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
 
 
-def _hashmix(value: np.ndarray, consts: np.ndarray, k) -> np.ndarray:
-    value = (value ^ consts[k]) * consts[k + 1]
+def _schedule(consts: np.ndarray, k: int, count: int, skip=None) -> tuple:
+    """(xor, multiplier) columns of `count` consecutive hashmix calls from call k, for (count, N) words.
+
+    Row `skip` gets no call: its columns are zero and it does not advance the
+    hash constant.
+    """
+    xor, mult = np.zeros((2, count, 1), dtype=np.uint32)
+    for row in range(count):
+        if row != skip:
+            xor[row], mult[row] = consts[k], consts[k + 1]
+            k += 1
+    return xor, mult
+
+
+# The hashmix schedule does not depend on the seeds, so its constant columns
+# are built once: the pool's first pass, then one step per source word, which
+# mixes into the three other words (the source row is skipped), then the 8
+# output hashmixes, which read pool word j % 4 for output word j.
+_POOL_MIX = _schedule(_HASH_A, 0, _POOL_WORDS)
+_SOURCE_MIX = tuple(
+    (src, _schedule(_HASH_A, _POOL_WORDS + src * (_POOL_WORDS - 1), _POOL_WORDS, skip=src))
+    for src in range(_POOL_WORDS)
+)
+_OUT_MIX = tuple(c.reshape(2, _POOL_WORDS, 1) for c in _schedule(_HASH_B, 0, 8))
+
+# pcg64_set_seed on (high, low) uint64 limbs of 128-bit numbers: the PCG64
+# multiplier, with its low word also split into 32-bit limbs for `_mulhi`
+_U32, _U63, _U64_1 = np.uint64(32), np.uint64(63), np.uint64(1)
+_LO32 = np.uint64(_M32)
+_MULT_HI, _MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_MULT_LO_HI, _MULT_LO_LO = _MULT_LO >> _U32, _MULT_LO & _LO32
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
     return value ^ (value >> _XSHIFT)
 
 
@@ -243,9 +276,12 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> _XSHIFT)
 
 
-def _steps(k: int, count: int) -> np.ndarray:
-    """Hash-constant indices of `count` consecutive hashmix calls, as a column for (count, N) rows."""
-    return np.arange(k, k + count)[:, None]
+def _mulhi(a: np.ndarray, b_hi: np.uint64, b_lo: np.uint64) -> np.ndarray:
+    """High 64 bits of a * b for uint64 `a` and b = b_hi 2^32 + b_lo, from 32-bit limb products."""
+    a_hi, a_lo = a >> _U32, a & _LO32
+    low, cross_a, cross_b = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    carry = ((low >> _U32) + (cross_a & _LO32) + (cross_b & _LO32)) >> _U32
+    return a_hi * b_hi + (cross_a >> _U32) + (cross_b >> _U32) + carry
 
 
 def pcg64_states(seeds) -> list:
@@ -254,32 +290,34 @@ def pcg64_states(seeds) -> list:
     Reproduces `SeedSequence(seed).generate_state(4, np.uint64)` in uint32
     array arithmetic, all seeds at once, then applies pcg64_set_seed:
     inc = (initseq << 1) | 1 and state = ((inc + initstate) * MULT + inc)
-    mod 2^128.  A seed is hashed as its two 32-bit words (zero-padded to the
-    pool size, which is what numpy does for one word too).  Hashmix calls that
-    do not depend on each other run as one (count, N) operation.  The fixed
-    cost per call is a few hundred microseconds, so derive many seeds per call.
+    mod 2^128, on (high, low) uint64 limbs.  A seed is hashed as its two
+    32-bit words (zero-padded to the pool size, which is what numpy does for
+    one word too).  Hashmix calls that do not depend on each other run as one
+    (count, N) operation, so the cost is about 100 array operations whatever
+    the number of seeds, plus making two Python ints per seed.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     words = np.zeros((_POOL_WORDS,) + seeds.shape, dtype=np.uint32)
-    words[0] = (seeds & np.uint64(_M32)).astype(np.uint32)
-    words[1] = (seeds >> np.uint64(32)).astype(np.uint32)
-    pool = _hashmix(words, _HASH_A, _steps(0, _POOL_WORDS))
-    k = _POOL_WORDS
-    for src in range(_POOL_WORDS):
+    words[0] = (seeds & _LO32).astype(np.uint32)
+    words[1] = (seeds >> _U32).astype(np.uint32)
+    pool = _hashmix(words, *_POOL_MIX)
+    for src, mix in _SOURCE_MIX:
         # the source word mixes into the three others in turn; it does not
         # change meanwhile, so the three hashmix/mix steps are independent
-        dst = [d for d in range(_POOL_WORDS) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, _steps(k, len(dst))))
-        k += len(dst)
-    out = _hashmix(pool[np.arange(8) % _POOL_WORDS], _HASH_B, _steps(0, 8)).astype(np.uint64)
-    hi_state, lo_state, hi_seq, lo_seq = (
-        (out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
-    )
-    states = []
-    for a, b, c, d in zip(hi_state, lo_state, hi_seq, lo_seq):
-        inc = ((c << 64 | d) << 1 | 1) & _M128
-        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
-    return states
+        mixed = _mix(pool, _hashmix(pool[src], *mix))
+        mixed[src] = pool[src]
+        pool = mixed
+    out = _hashmix(pool, *_OUT_MIX).reshape(4, 2, -1).astype(np.uint64)
+    hi_state, lo_state, hi_seq, lo_seq = out[:, 0] | out[:, 1] << _U32
+    inc_hi, inc_lo = hi_seq << _U64_1 | lo_seq >> _U63, lo_seq << _U64_1 | _U64_1
+    # (inc + initstate) * MULT + inc, each sum carrying from the low word
+    sum_lo = inc_lo + lo_state
+    sum_hi = inc_hi + hi_state + (sum_lo < inc_lo)
+    state_lo = sum_lo * _MULT_LO + inc_lo
+    state_hi = (_mulhi(sum_lo, _MULT_LO_HI, _MULT_LO_LO) + sum_lo * _MULT_HI
+                + sum_hi * _MULT_LO + inc_hi + (state_lo < inc_lo))
+    state, inc = (np.stack([state_hi, inc_hi]).astype(object) << 64 | np.stack([state_lo, inc_lo])).tolist()
+    return list(zip(state, inc))
 
 
 class reseeded:
@@ -321,7 +359,8 @@ def _normal_stack(rngs, shape: tuple, scale: float = 1.0) -> np.ndarray:
     out = np.empty((len(rngs),) + shape)
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
-    out *= scale
+    with np.errstate(over="ignore"):  # an overflowing draw is a NonFiniteInput later
+        out *= scale
     out += 0.0
     return out
 
@@ -332,15 +371,19 @@ def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
     `kind` must already be canonical; `rngs` is a list of generators or a
     `reseeded` sequence.  Each generator draws its whole matrix before the
     next is advanced (GUE: the real then the imaginary n x n block), and the
-    symmetrization runs on the stack.
+    symmetrization runs on the stack.  Entries that overflow come out as inf
+    or NaN without a numpy warning; a campaign makes them a NonFiniteInput
+    trial error.
     """
     if kind == "gue":
         g = _normal_stack(rngs, (2, n, n), scale)
-        g = g[:, 0] + 1j * g[:, 1]
-        return (g + conj_t(g)) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = g[:, 0] + 1j * g[:, 1]
+            return (g + conj_t(g)) / 2.0
     if kind == "goe":
         g = _normal_stack(rngs, (n, n), scale)
-        return ((g + g.swapaxes(-1, -2)) / 2.0).astype(np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ((g + g.swapaxes(-1, -2)) / 2.0).astype(np.complex128)
     d = vector_stack(kind, n, scale, rngs)
     out = np.zeros(d.shape + (n,), dtype=np.complex128)
     out[:, np.arange(n), np.arange(n)] = d

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import MatrixParseError
+from .errors import MatrixParseError, NonFiniteInput
 from .hermitian import HermitianMatrix, validate_hermitian
 
 LOAD_TOL = 1e-10
@@ -48,6 +48,9 @@ def loads_matrix(text: str) -> HermitianMatrix:
         raise MatrixParseError("missing field 're'")
     re = _block(doc, "re", n)
     im = _block(doc, "im", n) if "im" in doc else np.zeros((n, n))
+    # before re + 1j * im, where an infinite im entry makes numpy warn
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise NonFiniteInput("matrix contains NaN or infinity")
     return validate_hermitian(re + 1j * im, LOAD_TOL)
 
 

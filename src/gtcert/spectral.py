@@ -160,10 +160,12 @@ def _deviation(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.ndarray):
     """(lhs, rhs, slack) arrays of F(U* A U) against F(A) for stacks of A and U.
 
-    Each U must pass the `UnitaryMatrix` test, and each U* A U must be
-    Hermitian within 1e-10 * max(1, max |entry|) before it is symmetrized,
-    as `conjugate` requires.
+    Each A must be finite, each U must pass the `UnitaryMatrix` test, and
+    each U* A U must be Hermitian within 1e-10 * max(1, max |entry|) before
+    it is symmetrized, as `conjugate` requires.
     """
+    # an infinite A makes U* A U NaN, which would read as a Hermiticity failure
+    require_rows(np.isfinite(a).all(axis=(1, 2)), NonFiniteInput, "matrix contains NaN or infinity")
     require_rows(unitarity_rows(u), UnitarityViolation, "max |U*U - I| exceeds 1e-10")
     m = conj_t(u) @ a @ u
     mh = conj_t(m)

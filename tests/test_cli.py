@@ -299,6 +299,22 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize("command, trials", [("verify-gt", "3"), ("hessian-check", "1")])
+    def test_overflowing_samples_print_only_the_error_line(self, command, trials):
+        # the samplers' overflow at scale 1.7e308 printed numpy RuntimeWarnings
+        # before the error line (five for verify-gt, one for hessian-check)
+        proc = run_module(command, "--seed", "0", "--trials", trials, "--dim", "4",
+                          "--scale", "1.7e308")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_infinite_imaginary_part_prints_only_the_error_line(self, tmp_path):
+        # re + 1j * im with an infinite im entry printed numpy's RuntimeWarning first
+        path = write(tmp_path / "m.json", {"n": 1, "re": [[0.0]], "im": [[-math.inf]]})
+        proc = run_module("eval", "--fn", "lse", "--matrix", path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

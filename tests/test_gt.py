@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtcert import (
     CampaignConfig,
@@ -16,6 +17,7 @@ from gtcert import (
     DimensionMismatch,
     EnsembleSpec,
     HermitianMatrix,
+    NonFiniteInput,
     NonFiniteResult,
     builtin,
     check_davis_restriction,
@@ -221,6 +223,19 @@ class TestSeedDerivation:
                 assert gt_module.derive_seeds(seeds, k).tolist() == [
                     derive_seed(s, k) for s in seeds.tolist()
                 ]
+            # every stream of every trial in one call, stream-major
+            streams = gt_module.derive_seeds(seeds, np.arange(3)[:, None])
+            assert streams.shape == (3, 1100)
+            assert streams.tolist() == [[derive_seed(s, k) for s in seeds.tolist()] for k in range(3)]
+        # scalar calls at the edges, where (index + 1) * gamma and the
+        # finalizer products wrap mod 2^64: numpy warns when an operator on
+        # uint64 scalars wraps, and derive_seeds must wrap silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed, index in [(0, 0), (2**64 - 1, 0), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1),
+                                (2**63, 2**63 - 1)]:
+                assert int(gt_module.derive_seeds(seed, index)) == derive_seed(seed, index)
+                assert int(gt_module.derive_seeds(np.uint64(seed), np.uint64(index))) == derive_seed(seed, index)
 
     @pytest.mark.parametrize("trials, chunk, streams", [(7, 16, 1), (2100, 64, 2), (1030, 1, 2)])
     def test_chunks_carry_each_trials_stream_states(self, trials, chunk, streams):
@@ -271,6 +286,18 @@ def replay_slack(cfg, trial_seed):
     return -float(np.max(np.abs(lse_hessian_analytic(x).entries - hessian_fd(x).entries)))
 
 
+def sampled_input_is_finite(cfg):
+    """Whether every stream of every trial draws only finite entries, each drawn from its own PCG64."""
+    ens = cfg.ensemble
+    for i in range(cfg.trials):
+        trial_seed = derive_seed(ens.seed, i)
+        for k, draw in enumerate(gt_module.CHECKS[cfg.check_kind].streams):
+            rng = np.random.Generator(np.random.PCG64(derive_seed(trial_seed, k)))
+            if not np.isfinite(draw(ens, [rng])).all():
+                return False
+    return True
+
+
 class TestRunCampaign:
     @pytest.mark.parametrize("kind", [
         "GT_WEAK", "MIDPOINT_CONVEXITY", "HESSIAN_PSD", "UNITARY_INVARIANCE",
@@ -298,14 +325,15 @@ class TestRunCampaign:
         # slack of its public single check on the worst trial
         for kind in CHECK_KINDS:
             for n in (1, 2, 8):
-                trials = gt_module._chunk_trials(n) + 6
+                trials = gt_module._chunk_trials(gt_module.CHECKS[kind], n) + 6
                 report = run_campaign(config(kind, n=n, trials=trials, tol=kind_tol(kind)))
                 slack = replay_slack(report.config, report.worst_trial_seed)
                 assert slack == report.worst_slack, (kind, n)
 
     def test_report_independent_of_chunk_size(self, monkeypatch):
         for kind in CHECK_KINDS:
-            cfg = config(kind, n=3, trials=gt_module._chunk_trials(3) + 6, tol=kind_tol(kind))
+            trials = gt_module._chunk_trials(gt_module.CHECKS[kind], 3) + 6
+            cfg = config(kind, n=3, trials=trials, tol=kind_tol(kind))
             chunked = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
             monkeypatch.setattr(gt_module, "_CHUNK_ENTRIES", 1)
             one_by_one = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
@@ -350,22 +378,63 @@ class TestRunCampaign:
         assert report.violations == 0
         assert report.worst_slack > -1e-7
 
-    @settings(max_examples=14)
+    @pytest.mark.parametrize("seed", [0, 3, 4])
+    def test_psd_rejects_infinite_sampled_vectors(self, seed):
+        # the vector of trial 0 holds -inf, whose softmax weight is 0: the
+        # Hessian stayed finite and the campaign reported violations=0,
+        # worst_slack=0.0
+        cfg = CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 4, 1.7e308, seed), 1, 1e-10)
+        trial_seed = derive_seed(seed, 0)
+        x = random_vector(dataclasses.replace(cfg.ensemble, seed=derive_seed(trial_seed, 0)))
+        assert np.isneginf(x).any()
+        with pytest.raises(CampaignTrialError) as info:
+            run_campaign(cfg)
+        assert isinstance(info.value.cause, NonFiniteInput)
+        assert info.value.trial_index == 0 and info.value.trial_seed == trial_seed
+
+    @pytest.mark.parametrize("kind", CHECK_KINDS)
+    def test_overflowing_draw_is_a_non_finite_input(self, kind):
+        # UNITARY_INVARIANCE named the NaN that an infinite A leaves in U* A U
+        # a Hermiticity failure, and HESSIAN_PSD passed
+        cfg = CampaignConfig(kind, EnsembleSpec("gue", 4, 1.7e308, 0), 3, kind_tol(kind))
+        with pytest.raises(CampaignTrialError) as info:
+            run_campaign(cfg)
+        assert isinstance(info.value.cause, NonFiniteInput), info.value
+        assert info.value.trial_index == 0
+        assert not sampled_input_is_finite(dataclasses.replace(cfg, trials=1))
+
+    def test_psd_at_the_double_limit_with_finite_vectors(self):
+        report = run_campaign(
+            CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 4, 1.7e308, 2), 1, 1e-10)
+        )
+        assert report.violations == 0 and math.isfinite(report.worst_slack)
+
+    @settings(max_examples=20)
     @given(
         kind=st.sampled_from(CHECK_KINDS),
         ensemble=st.sampled_from(["gue", "goe", "diag"]),
         n=st.integers(1, 4),
-        log10_scale=st.floats(-300.0, 300.0),
+        scale=st.one_of(
+            st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+            # near the double limit, where sampled entries overflow to inf or NaN
+            st.floats(1e307, 1.7e308),
+        ),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_no_non_finite_report_at_any_scale(self, kind, ensemble, n, log10_scale, seed):
-        cfg = CampaignConfig(
-            kind, EnsembleSpec(ensemble, n, 10.0 ** log10_scale, seed), 3, kind_tol(kind)
-        )
+    @example(kind="HESSIAN_PSD", ensemble="gue", n=4, scale=1.7e308, seed=0)
+    @example(kind="GT_WEAK", ensemble="goe", n=2, scale=1e308, seed=2)
+    def test_no_non_finite_report_at_any_scale(self, kind, ensemble, n, scale, seed):
+        if ensemble == "diag" and math.isinf(2.0 * scale):
+            with pytest.raises(ValueError):  # numpy cannot draw on [-scale, scale]
+                EnsembleSpec(ensemble, n, scale, seed)
+            return
+        cfg = CampaignConfig(kind, EnsembleSpec(ensemble, n, scale, seed), 3, kind_tol(kind))
         try:
             report = run_campaign(cfg)
         except CampaignTrialError:
             return
+        # a report comes only from trials whose sampled input is all finite
+        assert sampled_input_is_finite(cfg)
         assert math.isfinite(report.worst_slack)
         json.dumps(report.to_json_dict(), allow_nan=False)
 

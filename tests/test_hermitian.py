@@ -1,6 +1,7 @@
 """Tests for the Hermitian core: validation, ensembles, eigh-based transforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,22 @@ class TestEnsembles:
         assert np.all(off == 0.0)
         d = h.entries.diagonal().real
         assert np.all((d >= -0.5) & (d <= 0.5))
+
+    def test_diag_width_must_be_finite(self):
+        # numpy's uniform draw on [-scale, scale] raised OverflowError mid-campaign
+        EnsembleSpec("diag", 2, np.finfo(float).max / 2, 0)
+        with pytest.raises(ValueError, match="diag scale"):
+            EnsembleSpec("diag", 2, 1.7e308, 0)
+        EnsembleSpec("gue", 2, 1.7e308, 0)
+
+    def test_overflowing_draws_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("gue", "goe"):
+                rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in range(8)]
+                assert not np.isfinite(hermitian_stack(kind, 4, 1.7e308, rngs)).all()
+                vectors = [random_vector(EnsembleSpec(kind, 4, 1.7e308, seed)) for seed in range(8)]
+                assert not np.isfinite(vectors).all()
 
     def test_gue_offdiagonal_second_moment(self):
         # mean |entry|^2 off the diagonal should be scale^2 = 1 within 10%
