@@ -20,7 +20,6 @@ from .errors import (
     NonFiniteInput,
     NonFiniteResult,
     NotSquareError,
-    OverflowRisk,
     UnitarityViolation,
 )
 from .gt import (
@@ -36,17 +35,12 @@ from .gt import (
 )
 from .hermitian import (
     GENERATOR_ID,
-    EigenDecomposition,
     EnsembleSpec,
     HermitianMatrix,
     UnitaryMatrix,
-    conjugate,
-    eigh,
-    matrix_exp,
     random_hermitian,
     random_unitary,
     random_vector,
-    trace_re,
     validate_hermitian,
 )
 from .logsumexp import (
@@ -60,7 +54,6 @@ from .logsumexp import (
     lse_hessian_analytic,
     psd_certify,
     softmax,
-    weighted_laplacian,
 )
 from .matrixio import dumps_matrix, load_matrix, loads_matrix, save_matrix
 from .spectral import (

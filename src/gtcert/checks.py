@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import CampaignTrialError, NonFiniteResult
 
 
-def slack_bound(rhs: float, tol: float) -> float:
-    """A check passes iff slack >= -slack_bound(rhs, tol)."""
-    return tol * max(1.0, abs(rhs))
+def slack_bound(rhs, tol: float):
+    """A check passes iff slack >= -slack_bound(rhs, tol); elementwise for an array rhs."""
+    return tol * np.maximum(1.0, np.abs(rhs))
 
 
 def non_finite_trial(trial_index, trial_seed: int, lhs, rhs, slack) -> CampaignTrialError:
@@ -37,7 +40,6 @@ class CheckResult:
     rhs: float
     slack: float
     tol: float
-    passed: bool
     trial_seed: int = 0
 
     def __post_init__(self):
@@ -45,12 +47,23 @@ class CheckResult:
             raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
         if not all(math.isfinite(v) for v in (self.lhs, self.rhs, self.slack)):
             raise non_finite_trial(None, self.trial_seed, self.lhs, self.rhs, self.slack)
-        expected = self.slack >= -slack_bound(self.rhs, self.tol)
-        if bool(self.passed) != expected:
-            raise ValueError("pass flag disagrees with the slack rule")
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.slack >= -slack_bound(self.rhs, self.tol))
 
 
-def first_result(values, tol: float) -> CheckResult:
-    """The CheckResult of row 0 of stacked (lhs, rhs, slack) arrays."""
-    lhs, rhs, slack = (float(v[0]) for v in values)
-    return CheckResult(lhs, rhs, slack, tol, slack >= -slack_bound(rhs, tol))
+def quiet_rows(evaluate: Callable[..., tuple], *args) -> tuple:
+    """`evaluate(*args)`, the (lhs, rhs, slack) arrays of a stacked check, without numpy's warnings.
+
+    A value that overflows, or is NaN, ends as an Error or a non-finite
+    result, so the warning would only print a line before that error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return evaluate(*args)
+
+
+def first_result(evaluate: Callable[..., tuple], *args, tol: float) -> CheckResult:
+    """The CheckResult of row 0 of the stacked check `evaluate(*args)`."""
+    lhs, rhs, slack = (float(v[0]) for v in quiet_rows(evaluate, *args))
+    return CheckResult(lhs, rhs, slack, tol)

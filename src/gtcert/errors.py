@@ -44,10 +44,6 @@ class ConvergenceFailure(Error):
     """The eigensolver did not converge."""
 
 
-class OverflowRisk(Error):
-    """An exponential would overflow double precision."""
-
-
 class NonFiniteInput(Error):
     """Input contains NaN or infinity."""
 

@@ -1,8 +1,8 @@
-"""Hermitian matrices, random ensembles, and eigendecomposition-based transforms.
+"""Hermitian matrices, unitaries, random ensembles, and the stacked eigensolver.
 
-All matrix functions go through the eigendecomposition: for Hermitian A with
-A = V diag(w) V*, a scalar function g is applied as V diag(g(w)) V*.  Nothing
-here evaluates a matrix power series.
+Every spectrum is computed by `stacked_spectrum`, which runs numpy's eigh or
+eigvalsh on a (T, n, n) stack in one call; the checks apply scalar functions to
+those spectra, so nothing here forms a matrix function.
 
 Every sampling routine is a pure function of its seed.  The underlying bit
 generator is numpy's PCG64; `GENERATOR_ID` names it in campaign reports.  The
@@ -25,7 +25,6 @@ from .errors import (
     HermiticityViolation,
     NonFiniteInput,
     NotSquareError,
-    OverflowRisk,
     UnitarityViolation,
     at_row,
     require_rows,
@@ -33,18 +32,8 @@ from .errors import (
 
 GENERATOR_ID = "numpy-pcg64"
 
-# exp(x) overflows double precision just above x = 709; the guard trips earlier
-EXP_OVERFLOW_LIMIT = 700.0
-
 _UNITARY_TOL = 1e-10
 _ENSEMBLE_KINDS = ("gue", "goe", "diag")
-
-_KIND_ALIASES = {
-    "gue": "gue",
-    "goe": "goe",
-    "diag": "diag",
-    "diagonal-uniform": "diag",
-}
 
 
 def _as_square(entries, err: str) -> np.ndarray:
@@ -108,9 +97,8 @@ class UnitaryMatrix:
 
     def __init__(self, entries):
         arr = _as_square(entries, "UnitaryMatrix")
-        dev = np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])))
-        if not dev <= _UNITARY_TOL:
-            raise UnitarityViolation(f"max |U*U - I| = {dev:.3e} exceeds {_UNITARY_TOL}")
+        if not unitarity_rows(arr[None])[0]:
+            raise UnitarityViolation(f"max |U*U - I| exceeds {_UNITARY_TOL}")
         arr.setflags(write=False)
         self._entries = arr
 
@@ -124,28 +112,6 @@ class UnitaryMatrix:
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(n={self.n})"
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order plus the unitary of eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: UnitaryMatrix
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != self.eigenvectors.n:
-            raise DimensionMismatch("eigenvalue count does not match eigenvector matrix")
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be in ascending order")
-        w.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-
-    def reconstruct(self) -> HermitianMatrix:
-        """Reassemble V diag(w) V*, symmetrized at tolerance 1e-10."""
-        v = self.eigenvectors.entries
-        return validate_hermitian((v * self.eigenvalues) @ v.conj().T, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -179,11 +145,11 @@ class EnsembleSpec:
 
 
 def parse_ensemble_kind(kind: str) -> str:
-    """Canonicalize an ensemble kind name ('GUE', 'diagonal-uniform', ...)."""
+    """Canonicalize an ensemble kind name: 'GUE' and ' gue ' give 'gue'."""
     key = str(kind).strip().lower()
-    if key not in _KIND_ALIASES:
+    if key not in _ENSEMBLE_KINDS:
         raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {_ENSEMBLE_KINDS}")
-    return _KIND_ALIASES[key]
+    return key
 
 
 def validate_hermitian(entries, tol: float) -> HermitianMatrix:
@@ -469,47 +435,3 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
             except np.linalg.LinAlgError:
                 raise at_row(ConvergenceFailure(str(exc)), row) from exc
         raise ConvergenceFailure(str(exc)) from exc
-
-
-def eigh(a: HermitianMatrix) -> EigenDecomposition:
-    """Full eigendecomposition with ascending eigenvalues.
-
-    Raises NonFiniteInput for NaN or infinite entries and ConvergenceFailure
-    if the solver gives up; never returns non-finite results silently.
-    """
-    if not np.all(np.isfinite(a.entries)):
-        raise NonFiniteInput("matrix contains NaN or infinity")
-    try:
-        w, v = np.linalg.eigh(a.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return EigenDecomposition(w, UnitaryMatrix(v))
-
-
-def matrix_exp(a: HermitianMatrix) -> HermitianMatrix:
-    """exp(A) through the eigendecomposition.
-
-    Raises OverflowRisk when the top eigenvalue exceeds 700 instead of
-    returning infinities.
-    """
-    dec = eigh(a)
-    top = float(dec.eigenvalues[-1])
-    if top > EXP_OVERFLOW_LIMIT:
-        raise OverflowRisk(
-            f"max eigenvalue {top:.6g} exceeds {EXP_OVERFLOW_LIMIT:g}; "
-            "exp would overflow double precision"
-        )
-    v = dec.eigenvectors.entries
-    return validate_hermitian((v * np.exp(dec.eigenvalues)) @ v.conj().T, 1e-10)
-
-
-def conjugate(a: HermitianMatrix, u: UnitaryMatrix) -> HermitianMatrix:
-    """U* A U, re-symmetrized at tolerance 1e-10."""
-    if a.n != u.n:
-        raise DimensionMismatch(f"matrix is {a.n} x {a.n}, unitary is {u.n} x {u.n}")
-    return validate_hermitian(u.entries.conj().T @ a.entries @ u.entries, 1e-10)
-
-
-def trace_re(a: HermitianMatrix) -> float:
-    """Real part of the trace (the trace of a Hermitian matrix is real)."""
-    return float(a.entries.diagonal().real.sum())

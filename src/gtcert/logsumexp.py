@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonFiniteInput
+from .errors import NonFiniteInput
+from .hermitian import stacked_spectrum
 
 SUM_TOL = 1e-14  # softmax weights must sum to 1 this tightly
 
@@ -209,31 +210,18 @@ def dkd_product(x) -> RealSymmetricMatrix:
     return RealSymmetricMatrix(p[:, None] * k * p[None, :])
 
 
-def weighted_laplacian(p: SoftmaxWeights) -> RealSymmetricMatrix:
-    """Laplacian of the complete graph with edge weights p_i p_j: diag(p) - p p^T.
-
-    Equals sum_{i<j} p_i p_j (e_i - e_j)(e_i - e_j)^T, and agrees with
-    `lse_hessian_analytic` at any x whose softmax is p.
-    """
-    lap = -np.outer(p.p, p.p)
-    np.fill_diagonal(lap, p.p * (1.0 - p.p))
-    return RealSymmetricMatrix(lap)
-
-
 def psd_certify(m: RealSymmetricMatrix, tol: float | None = None) -> PsdCertificate:
     """Certify positive semidefiniteness by the spectrum.
 
     Passes iff the minimum eigenvalue is >= -tol; nullspace_dim counts
     eigenvalues with |w| <= tol.  Default tol is 1e-10 * max(1, max |entry|).
+    A NaN or infinite entry raises NonFiniteInput, as in `stacked_spectrum`.
     """
+    w = stacked_spectrum(m.entries[None])[0]
     if tol is None:
         tol = 1e-10 * max(1.0, float(np.max(np.abs(m.entries))))
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a nonnegative real, got {tol!r}")
-    try:
-        w = np.linalg.eigvalsh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
     w_min = float(w[0])
     return PsdCertificate(
         min_eigenvalue=w_min,

@@ -308,6 +308,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
+    def test_overflowing_single_check_prints_only_the_error_line(self, tmp_path):
+        # A + B overflows for A = B = [[1e308]]; numpy's RuntimeWarning came first
+        path = write(tmp_path / "m.json", {"n": 1, "re": [[1e308]]})
+        proc = run_module("verify-gt", "--seed", "0", "--matrix", path, "--matrix-b", path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_infinite_imaginary_part_prints_only_the_error_line(self, tmp_path):
         # re + 1j * im with an infinite im entry printed numpy's RuntimeWarning first
         path = write(tmp_path / "m.json", {"n": 1, "re": [[0.0]], "im": [[-math.inf]]})

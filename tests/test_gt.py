@@ -24,7 +24,6 @@ from gtcert import (
     check_unitary_invariance,
     convexity_check,
     derive_seed,
-    eigh,
     gt_strong_check,
     gt_weak_check,
     hessian_fd,
@@ -32,19 +31,18 @@ from gtcert import (
     log_trace_exp,
     log_trace_exp_product,
     lse_hessian_analytic,
-    matrix_exp,
     psd_certify,
     random_hermitian,
     random_unitary,
     random_vector,
     run_campaign,
-    trace_re,
 )
 import gtcert.gt as gt_module
 from gtcert.hermitian import pcg64_states
 from gtcert.checks import slack_bound
 from gtcert.errors import require_rows
 from gtcert.gt import CHECK_KINDS
+from oracles import expm_taylor
 
 
 def diag(*values):
@@ -56,6 +54,15 @@ def gue(n, seed, scale=1.0):
 
 
 PAULI_X = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+
+# 1 x 1 and 2 x 2 matrices near the double limit: A + A overflows, and so does
+# the top eigenvalue 2e308 of the all-1e308 matrix
+BIG = diag(1e308)
+BIG_BLOCK = HermitianMatrix(np.full((2, 2), 1e308, dtype=complex))
+
+# a single check near the double limit raises its error without printing
+# numpy's overflow or invalid-value warning first
+quiet = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestLogTraceExp:
@@ -76,12 +83,12 @@ class TestLogTraceExp:
     def test_agrees_with_trace_of_exponential(self):
         for seed in range(10):
             a = gue(5, seed)
-            direct = math.log(trace_re(matrix_exp(a)))
+            direct = math.log(np.trace(expm_taylor(a.entries)).real)
             assert log_trace_exp(a) == pytest.approx(direct, rel=1e-12)
 
     def test_bounds_from_top_eigenvalue(self):
         a = gue(7, 3)
-        top = float(eigh(a).eigenvalues[-1])
+        top = float(np.linalg.eigvalsh(a.entries)[-1])
         val = log_trace_exp(a)
         assert top <= val <= top + math.log(7.0) + 1e-12
 
@@ -129,6 +136,11 @@ class TestGtWeakCheck:
         with pytest.raises(DimensionMismatch):
             gt_weak_check(gue(2, 0), gue(3, 0))
 
+    @quiet
+    def test_overflowing_sum_is_an_error_without_a_warning(self):
+        with pytest.raises(NonFiniteInput):
+            gt_weak_check(BIG, BIG)
+
 
 class TestGtStrongCheck:
     def test_tighter_than_product_bound(self):
@@ -148,6 +160,21 @@ class TestGtStrongCheck:
         # shifted evaluation keeps large spectra finite
         val = log_trace_exp_product(diag(500.0, 0.0), diag(400.0, 0.0))
         assert val == pytest.approx(900.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_product_matches_series_oracle(self, n):
+        # the rhs on non-commuting pairs, against log tr(e^A e^B) with no eigensolver
+        for seed in range(3):
+            a, b = gue(n, 2 * seed + n), gue(n, 2 * seed + n + 1)
+            assert np.abs(a.entries @ b.entries - b.entries @ a.entries).max() > 0.1
+            direct = math.log(np.trace(expm_taylor(a.entries) @ expm_taylor(b.entries)).real)
+            assert log_trace_exp_product(a, b) == pytest.approx(direct, rel=1e-12)
+            assert gt_strong_check(a, b).rhs == log_trace_exp_product(a, b)
+
+    @quiet
+    def test_overflowing_sum_is_an_error_without_a_warning(self):
+        with pytest.raises(NonFiniteInput):
+            gt_strong_check(BIG, BIG)
 
 
 class TestConvexityCheck:
@@ -169,25 +196,41 @@ class TestConvexityCheck:
         res = convexity_check(diag(2.0, 0.0), diag(0.0, 2.0))
         assert res.slack == pytest.approx(0.4337808304830272, abs=1e-12)
 
+    @quiet
+    def test_midpoint_at_the_double_limit(self):
+        # A, B, (A+B)/2 and every F value are 1e308; forming A + B first overflowed
+        res = convexity_check(BIG, BIG)
+        assert (res.lhs, res.rhs, res.slack) == (1e308, 1e308, 0.0) and res.passed
+
+    @quiet
+    def test_overflowing_spectrum_is_an_error_without_a_warning(self):
+        with pytest.raises(CampaignTrialError) as info:
+            convexity_check(BIG_BLOCK, BIG_BLOCK)
+        assert isinstance(info.value.cause, NonFiniteResult)
+
 
 class TestCheckResult:
     def test_pass_rule_enforced(self):
-        with pytest.raises(ValueError):
+        # passed iff slack >= -tol * max(1, |rhs|): the bound is 1e-10 at
+        # |rhs| <= 1 and 1e-8 at rhs = -100
+        for rhs, bound in ((0.5, 1e-10), (-100.0, 1e-8)):
+            assert CheckResult(lhs=0.0, rhs=rhs, slack=-bound, tol=1e-10).passed
+            assert not CheckResult(lhs=0.0, rhs=rhs, slack=-1.01 * bound, tol=1e-10).passed
+        assert CheckResult(lhs=0.0, rhs=1.0, slack=0.0, tol=0.0).passed
+        with pytest.raises(TypeError):
             CheckResult(lhs=0.0, rhs=1.0, slack=1.0, tol=1e-10, passed=False)
-        with pytest.raises(ValueError):
-            CheckResult(lhs=0.0, rhs=1.0, slack=-1.0, tol=1e-10, passed=True)
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
-            CheckResult(lhs=0.0, rhs=1.0, slack=1.0, tol=-1e-10, passed=True)
+            CheckResult(lhs=0.0, rhs=1.0, slack=1.0, tol=-1e-10)
 
     @pytest.mark.parametrize("fields", [
         dict(lhs=math.nan),
-        dict(rhs=-math.inf, slack=-math.inf),  # -inf >= -inf once passed
+        dict(rhs=-math.inf, slack=-math.inf),  # -inf >= -inf would pass
         dict(slack=math.inf),
     ])
     def test_non_finite_fields_are_trial_errors(self, fields):
-        base = dict(lhs=0.0, rhs=0.0, slack=0.0, tol=1e-10, passed=True, trial_seed=5)
+        base = dict(lhs=0.0, rhs=0.0, slack=0.0, tol=1e-10, trial_seed=5)
         with pytest.raises(CampaignTrialError) as info:
             CheckResult(**(base | fields))
         assert info.value.trial_seed == 5

@@ -1,4 +1,4 @@
-"""Tests for the Hermitian core: validation, ensembles, eigh-based transforms."""
+"""Tests for the Hermitian core: validation, ensembles, the stacked eigensolver."""
 
 import math
 import warnings
@@ -9,22 +9,22 @@ from hypothesis import given, strategies as st
 
 from gtcert import (
     DimensionMismatch,
-    EigenDecomposition,
     EnsembleSpec,
     HermiticityViolation,
     HermitianMatrix,
     NonFiniteInput,
     NotSquareError,
-    OverflowRisk,
     UnitarityViolation,
     UnitaryMatrix,
-    conjugate,
-    eigh,
-    matrix_exp,
+    builtin,
+    builtin_names,
+    check_unitary_invariance,
+    lift,
+    lift_eval,
+    log_trace_exp,
     random_hermitian,
     random_unitary,
     random_vector,
-    trace_re,
     validate_hermitian,
 )
 from gtcert.hermitian import (
@@ -33,23 +33,10 @@ from gtcert.hermitian import (
     parse_ensemble_kind,
     pcg64_states,
     reseeded,
+    stacked_spectrum,
     vector_stack,
 )
-
-
-def expm_taylor(m: np.ndarray, terms: int = 24) -> np.ndarray:
-    """Scaling-and-squaring Taylor series.  Independent of any eigensolver."""
-    norm = float(np.linalg.norm(m, np.inf))
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    a = m / (2.0**squarings)
-    out = np.eye(m.shape[0], dtype=np.complex128)
-    term = np.eye(m.shape[0], dtype=np.complex128)
-    for k in range(1, terms + 1):
-        term = term @ a / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
+from oracles import expm_taylor
 
 
 def gue(n, seed, scale=1.0):
@@ -189,9 +176,12 @@ class TestEnsembles:
         assert abs(total / count - 1.0) < 0.1
 
     def test_kind_aliases(self):
+        # case and surrounding blanks are all that is canonicalized
         assert parse_ensemble_kind("GUE") == "gue"
-        assert parse_ensemble_kind("DIAGONAL-UNIFORM") == "diag"
+        assert parse_ensemble_kind(" diag ") == "diag"
         assert EnsembleSpec("GOE", 2, 1.0, 0).kind == "goe"
+        with pytest.raises(ValueError):
+            parse_ensemble_kind("diagonal-uniform")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -311,126 +301,134 @@ class TestCampaignSeeding:
                 np.testing.assert_array_equal(random_unitary(n, seed).entries, unitary)
 
 
+def spectrum(m) -> np.ndarray:
+    """Ascending eigenvalues of one matrix, through the stacked solver."""
+    return stacked_spectrum(np.asarray(m, dtype=np.complex128)[None])[0]
+
+
 class TestEigh:
+    """`stacked_spectrum`, the one entry to numpy's eigh and eigvalsh."""
+
     def test_diagonal_matrix_sorted(self):
-        dec = eigh(HermitianMatrix(np.diag([3.0, 1.0, 2.0]).astype(complex)))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(spectrum(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0], atol=1e-14)
 
     def test_known_spectrum_recovered(self):
         # build U diag(-2, 0, 5) U* from a sampled unitary, then recover
         u = random_unitary(3, 31).entries
         w = np.array([-2.0, 0.0, 5.0])
         a = validate_hermitian((u * w) @ u.conj().T, 1e-12)
-        dec = eigh(a)
-        np.testing.assert_allclose(dec.eigenvalues, w, atol=1e-12)
+        np.testing.assert_allclose(spectrum(a.entries), w, atol=1e-12)
+        np.testing.assert_allclose(stacked_spectrum(a.entries[None], vectors=True)[0][0], w, atol=1e-12)
 
     def test_pauli_x_spectrum(self):
-        dec = eigh(HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
-        np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(spectrum([[0.0, 1.0], [1.0, 0.0]]), [-1.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_reconstruct_round_trip(self, n):
         a = gue(n, seed=n + 100)
-        err = np.max(np.abs(eigh(a).reconstruct().entries - a.entries))
+        w, v = stacked_spectrum(a.entries[None], vectors=True)
+        err = np.max(np.abs((v[0] * w[0]) @ v[0].conj().T - a.entries))
         assert err <= 1e-10 * max(1.0, float(np.max(np.abs(a.entries))))
 
     def test_ascending_order_enforced(self):
-        with pytest.raises(ValueError):
-            EigenDecomposition(np.array([2.0, 1.0]), UnitaryMatrix(np.eye(2)))
+        stack = np.stack([gue(6, seed).entries for seed in range(20)])
+        for w in (stacked_spectrum(stack), stacked_spectrum(stack, vectors=True)[0]):
+            assert np.all(np.diff(w, axis=1) >= 0)
 
     def test_eigenvalue_count_checked(self):
-        with pytest.raises(DimensionMismatch):
-            EigenDecomposition(np.array([1.0]), UnitaryMatrix(np.eye(2)))
+        stack = np.stack([gue(5, seed).entries for seed in range(3)])
+        w, v = stacked_spectrum(stack, vectors=True)
+        assert stacked_spectrum(stack).shape == w.shape == (3, 5)
+        assert v.shape == (3, 5, 5)
 
     def test_non_finite_input_rejected(self):
-        bad = HermitianMatrix(np.diag([np.inf, 1.0]).astype(complex))
-        with pytest.raises(NonFiniteInput):
-            eigh(bad)
+        stack = np.stack([np.eye(2), np.diag([np.inf, 1.0])]).astype(complex)
+        with pytest.raises(NonFiniteInput) as info:
+            stacked_spectrum(stack)
+        assert info.value.row == 1
+        exact = np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
+        with pytest.raises(HermiticityViolation):
+            stacked_spectrum(exact)
 
 
 class TestMatrixExp:
+    """The Taylor-series oracle for exp(A), against closed forms and the eigendecomposition."""
+
     def test_zero_gives_identity(self):
-        e = matrix_exp(HermitianMatrix(np.zeros((3, 3), dtype=complex)))
-        np.testing.assert_allclose(e.entries, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(expm_taylor(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
     def test_diagonal_case(self):
-        e = matrix_exp(HermitianMatrix(np.diag([1.0, -1.0]).astype(complex)))
-        np.testing.assert_allclose(
-            e.entries.diagonal().real, [math.e, 1.0 / math.e], rtol=1e-14
-        )
+        e = expm_taylor(np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(e.diagonal().real, [math.e, 1.0 / math.e], rtol=1e-14)
 
     def test_pauli_x_closed_form(self):
-        e = matrix_exp(HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
+        e = expm_taylor(np.array([[0.0, 1.0], [1.0, 0.0]]))
         c, s = math.cosh(1.0), math.sinh(1.0)
-        np.testing.assert_allclose(e.entries.real, [[c, s], [s, c]], rtol=1e-14)
+        np.testing.assert_allclose(e.real, [[c, s], [s, c]], rtol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_matches_series_oracle(self, n):
+        # the series against V diag(exp w) V* from the stacked solver
         a = gue(n, seed=50 + n)
-        e = matrix_exp(a)
+        w, v = stacked_spectrum(a.entries[None], vectors=True)
         ref = expm_taylor(a.entries)
         scale = float(np.max(np.abs(ref)))
-        assert np.max(np.abs(e.entries - ref)) <= 1e-12 * max(1.0, scale)
+        assert np.max(np.abs((v[0] * np.exp(w[0])) @ v[0].conj().T - ref)) <= 1e-12 * max(1.0, scale)
 
     def test_spectral_mapping(self):
         a = gue(6, 8)
-        w_a = eigh(a).eigenvalues
-        w_e = eigh(matrix_exp(a)).eigenvalues
-        np.testing.assert_allclose(w_e, np.exp(w_a), rtol=1e-12)
+        e = validate_hermitian(expm_taylor(a.entries), 1e-12)
+        np.testing.assert_allclose(spectrum(e.entries), np.exp(spectrum(a.entries)), rtol=1e-12)
 
     def test_result_is_positive_definite(self):
         for seed in range(5):
-            w = eigh(matrix_exp(gue(5, seed))).eigenvalues
-            assert w[0] > 0.0
-
-    def test_overflow_guard(self):
-        big = HermitianMatrix(np.diag([701.0, 0.0]).astype(complex))
-        with pytest.raises(OverflowRisk):
-            matrix_exp(big)
-
-    def test_just_under_the_guard(self):
-        e = matrix_exp(HermitianMatrix(np.diag([699.0, 0.0]).astype(complex)))
-        assert np.isfinite(e.entries).all()
+            e = validate_hermitian(expm_taylor(gue(5, seed).entries), 1e-12)
+            assert spectrum(e.entries)[0] > 0.0
 
 
 class TestConjugate:
+    """U* A U, which the unitary-invariance check forms before its solver call."""
+
     def test_identity_unitary(self):
+        # I* A I is A exactly, so every built-in deviates by exactly zero
         a = gue(4, 3)
-        np.testing.assert_allclose(conjugate(a, UnitaryMatrix(np.eye(4))).entries,
-                                   a.entries, atol=1e-14)
+        for name in builtin_names():
+            res = check_unitary_invariance(lift(builtin(name)), a, UnitaryMatrix(np.eye(4)), 0.0)
+            assert res.slack == 0.0 and res.lhs == res.rhs, name
 
     def test_permutation_reorders_diagonal(self):
+        # conjugating by a permutation only moves entries: no rounding at all
         a = HermitianMatrix(np.diag([1.0, 2.0]).astype(complex))
         swap = UnitaryMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-        np.testing.assert_allclose(
-            conjugate(a, swap).entries.diagonal().real, [2.0, 1.0], atol=1e-15
-        )
+        for name in builtin_names():
+            assert check_unitary_invariance(lift(builtin(name)), a, swap, 0.0).slack == 0.0, name
 
     @given(st.integers(min_value=0, max_value=2**32))
     def test_spectrum_preserved(self, seed):
         a = gue(5, seed)
         u = random_unitary(5, seed + 1)
-        np.testing.assert_allclose(
-            eigh(conjugate(a, u)).eigenvalues, eigh(a).eigenvalues, atol=1e-12
-        )
+        for name in ("min", "max"):  # the extreme eigenvalues
+            assert abs(check_unitary_invariance(lift(builtin(name)), a, u, 0.0).slack) <= 1e-12
 
     def test_trace_preserved(self):
         a = gue(7, 21)
         u = random_unitary(7, 22)
-        assert abs(trace_re(conjugate(a, u)) - trace_re(a)) <= 1e-12
+        assert abs(check_unitary_invariance(lift(builtin("sum")), a, u, 0.0).slack) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            conjugate(gue(3, 1), random_unitary(4, 1))
+            check_unitary_invariance(lift(builtin("lse")), gue(3, 1), random_unitary(4, 1), 1e-10)
 
 
 class TestTraceRe:
+    """The trace as the spectral lift of `sum`, and tr exp through `log_trace_exp`."""
+
     def test_identity(self):
-        assert trace_re(HermitianMatrix(np.eye(5, dtype=complex))) == 5.0
+        assert lift_eval(lift(builtin("sum")), HermitianMatrix(np.eye(5, dtype=complex))) == 5.0
 
     def test_traceless(self):
-        assert trace_re(HermitianMatrix(np.diag([1.0, -1.0]).astype(complex))) == 0.0
+        assert lift_eval(lift(builtin("sum")), HermitianMatrix(np.diag([1.0, -1.0]).astype(complex))) == 0.0
 
     def test_exp_trace(self):
         a = HermitianMatrix(np.diag([0.0, math.log(2.0)]).astype(complex))
-        assert abs(trace_re(matrix_exp(a)) - 3.0) <= 1e-14
+        assert abs(math.exp(log_trace_exp(a)) - 3.0) <= 1e-14

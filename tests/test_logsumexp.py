@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gtcert import (
+    ConvergenceFailure,
     NonFiniteInput,
     RealSymmetricMatrix,
     SoftmaxWeights,
@@ -18,11 +19,18 @@ from gtcert import (
     lse_hessian_analytic,
     psd_certify,
     softmax,
-    weighted_laplacian,
 )
 from gtcert.logsumexp import hessian_fd_rows
 
 LOG_3 = 1.0986122886681098
+
+
+def weighted_laplacian(p: np.ndarray) -> np.ndarray:
+    """diag(p) - p p^T, the complete-graph Laplacian with edge weights p_i p_j; the Hessian's oracle."""
+    lap = -np.outer(p, p)
+    np.fill_diagonal(lap, p * (1.0 - p))
+    return lap
+
 
 vectors = arrays(
     np.float64,
@@ -137,7 +145,7 @@ class TestHessianAnalytic:
     @given(vectors)
     def test_matches_weighted_laplacian(self, x):
         h = lse_hessian_analytic(x).entries
-        lap = weighted_laplacian(softmax(x)).entries
+        lap = weighted_laplacian(softmax(x).p)
         assert np.max(np.abs(h - lap)) <= 1e-14
 
     @given(vectors)
@@ -283,17 +291,16 @@ class TestDkdProduct:
 
 
 class TestWeightedLaplacian:
-    def test_half_half(self):
-        lap = weighted_laplacian(SoftmaxWeights(np.array([0.5, 0.5]))).entries
-        np.testing.assert_allclose(lap, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-16)
+    """The lse Hessian is the weighted Laplacian diag(p) - p p^T."""
 
-    def test_quarter_three_quarters(self):
-        lap = weighted_laplacian(SoftmaxWeights(np.array([0.25, 0.75]))).entries
-        np.testing.assert_allclose(lap, [[0.1875, -0.1875], [-0.1875, 0.1875]], atol=1e-16)
+    def test_half_half(self):
+        h = lse_hessian_analytic([0.7, 0.7]).entries
+        np.testing.assert_allclose(h, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-16)
 
     def test_edge_weight_expansion(self):
-        # diag(p) - p p^T must equal sum over edges of p_i p_j (e_i - e_j)(e_i - e_j)^T
-        p = softmax([0.3, -1.2, 2.0, 0.0]).p
+        # the Hessian must equal sum over edges of p_i p_j (e_i - e_j)(e_i - e_j)^T
+        x = [0.3, -1.2, 2.0, 0.0]
+        p = softmax(x).p
         n = len(p)
         acc = np.zeros((n, n))
         for i in range(n):
@@ -301,9 +308,7 @@ class TestWeightedLaplacian:
                 e = np.zeros(n)
                 e[i], e[j] = 1.0, -1.0
                 acc += p[i] * p[j] * np.outer(e, e)
-        np.testing.assert_allclose(
-            weighted_laplacian(SoftmaxWeights(p)).entries, acc, atol=1e-15
-        )
+        np.testing.assert_allclose(lse_hessian_analytic(x).entries, acc, atol=1e-15)
 
 
 class TestPsdCertify:
@@ -334,3 +339,18 @@ class TestPsdCertify:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             psd_certify(complete_graph_laplacian(2), tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [1e-10, None])
+    def test_non_finite_entries_rejected(self, tol):
+        # with tol=1e-10 the certificate read min_eigenvalue=nan, passed=False;
+        # with the default tol it blamed the tol derived from the inf entry
+        with pytest.raises(NonFiniteInput):
+            psd_certify(RealSymmetricMatrix(np.diag([np.inf, 0.0])), tol)
+
+    def test_solver_failure(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailure):
+            psd_certify(complete_graph_laplacian(3))

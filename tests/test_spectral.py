@@ -9,6 +9,7 @@ from gtcert import (
     ArityMismatch,
     EnsembleSpec,
     HermitianMatrix,
+    NonFiniteInput,
     SymmetricScalarFunction,
     builtin,
     builtin_names,
@@ -121,6 +122,13 @@ class TestUnitaryInvariance:
         a = gue(4, 9)
         res = check_unitary_invariance(lift(builtin("lse")), a, UnitaryMatrix(np.eye(4)), 1e-10)
         assert res.passed and abs(res.slack) <= 1e-14
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_an_error_without_a_warning(self):
+        # U* A U is finite, but M + M* in its symmetrization overflows; the
+        # error comes without numpy's warning first
+        with pytest.raises(NonFiniteInput):
+            check_unitary_invariance(lift(builtin("lse")), diag(1e308), random_unitary(1, 0), 1e-10)
 
     @pytest.mark.parametrize("name", ["lse", "max", "pnorm:2"])
     def test_haar_rotations_pass(self, name):
