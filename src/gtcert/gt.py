@@ -34,10 +34,10 @@ from .hermitian import (
     EnsembleSpec,
     HermitianMatrix,
     conj_t,
+    generators,
     haar_stack,
     hermitian_stack,
-    pcg64_states,
-    reseeded,
+    seed_words,
     stacked_spectrum,
     vector_stack,
 )
@@ -64,11 +64,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 _CHUNK_ENTRIES = 65536
 
 
-# Trial seeds and generator states are derived for at least this many trials
-# at a time: `pcg64_states` costs 50-90 us per call whatever the number of
-# seeds (about 100 array operations), plus about 0.2-0.3 us per seed, so a
-# chunk of 16 trials would not amortize it, while a bounded block keeps a long
-# campaign's memory flat.
+# Trial seeds and seed words are derived for at least this many trials at a
+# time: on a shared 2-vCPU x86-64 box with numpy 2.4, `seed_words` costs about
+# 70 us per call whatever the number of seeds (about 60 array operations),
+# plus about 0.05 us per seed up to 2048 seeds, so a chunk of 16 trials would
+# not amortize it, while a bounded block keeps a long campaign's memory flat.
 _SEED_BLOCK = 1024
 
 
@@ -336,39 +336,38 @@ class CampaignReport:
 
 
 def _chunks(master: int, trials: int, chunk: int, streams: int) -> Iterator[tuple]:
-    """(first trial index, trial seeds, PCG64 states of each stream) per chunk.
+    """(first trial index, trial seeds, seed words of each stream) per chunk.
 
-    Seeds and states are derived a block of whole chunks, at least
-    `_SEED_BLOCK` trials, at a time, every stream of the block in one
-    `pcg64_states` call.
+    The words are a (streams, trials in the chunk, 4) array: row i of stream
+    k is `seed_words` of `derive_seed(trial_seed_i, k)`.  Seeds and words are
+    derived a block of whole chunks, at least `_SEED_BLOCK` trials, at a
+    time, every stream of the block in one `seed_words` call.
     """
     block = chunk * max(1, _SEED_BLOCK // chunk)
     for first in range(0, trials, block):
         seeds = derive_seeds(master, np.arange(first, min(first + block, trials)))
-        states = pcg64_states(derive_seeds(seeds, np.arange(streams)[:, None]).ravel())
-        seeds, size = seeds.tolist(), len(seeds)
-        for lo in range(0, size, chunk):
-            hi = min(lo + chunk, size)
-            yield first + lo, seeds[lo:hi], [states[k * size + lo:k * size + hi] for k in range(streams)]
+        stream_seeds = derive_seeds(seeds, np.arange(streams)[:, None])
+        words = seed_words(stream_seeds.ravel()).reshape(streams, -1, 4)
+        seeds = seeds.tolist()
+        for lo in range(0, len(seeds), chunk):
+            yield first + lo, seeds[lo:lo + chunk], words[:, lo:lo + chunk]
 
 
 def _check_chunk(
     check: CheckKind,
     f: SymmetricScalarFunction,
     ens: EnsembleSpec,
-    rng: np.random.Generator,
     start: int,
     seeds: list,
-    states: list,
+    words: np.ndarray,
 ):
     """(lhs, rhs, slack) arrays of one chunk of trials, all finite.
 
-    `states[k]` holds the PCG64 state of stream k of each trial; every draw
-    goes through `rng`, re-seeded per trial and stream.  Any error, and any
-    non-finite value, becomes a CampaignTrialError naming the trial it
-    belongs to.
+    `words[k]` holds the seed words of stream k of each trial.  Any error,
+    and any non-finite value, becomes a CampaignTrialError naming the trial
+    it belongs to.
     """
-    stacks = [draw(ens, reseeded(rng, s)) for draw, s in zip(check.streams, states)]
+    stacks = [draw(ens, generators(w)) for draw, w in zip(check.streams, words)]
     try:
         lhs, rhs, slack = quiet_rows(check.evaluate, f, *stacks)
     except Error as exc:
@@ -388,20 +387,18 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     trials in index order (ties on worst slack keep the lowest index), so
     the report does not depend on the chunk size.  A trial that raises, or
     whose lhs, rhs or slack is not finite, aborts the whole campaign with a
-    CampaignTrialError carrying its seed.  Every draw comes from one
-    generator owned by this call, re-seeded per trial stream.
+    CampaignTrialError carrying its seed.
     """
     t0 = time.perf_counter()
     ens, tol = config.ensemble, config.tol
     check = CHECKS[config.check_kind]
     f = builtin(config.fn or "lse")
-    rng = np.random.Generator(np.random.PCG64(0))  # state replaced before every draw
     violations = 0
     worst_slack = worst_seed = None
-    for start, seeds, states in _chunks(
+    for start, seeds, words in _chunks(
         ens.seed, config.trials, _chunk_trials(check, ens.n), len(check.streams)
     ):
-        lhs, rhs, slack = _check_chunk(check, f, ens, rng, start, seeds, states)
+        lhs, rhs, slack = _check_chunk(check, f, ens, start, seeds, words)
         violations += int(np.count_nonzero(slack < -slack_bound(rhs, tol)))
         row = int(slack.argmin())
         if worst_slack is None or slack[row] < worst_slack:

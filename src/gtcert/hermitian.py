@@ -7,9 +7,10 @@ those spectra, so nothing here forms a matrix function.
 Every sampling routine is a pure function of its seed.  The underlying bit
 generator is numpy's PCG64; `GENERATOR_ID` names it in campaign reports.  The
 samplers draw a stack, one draw per generator they are given: the single-draw
-API gives them `Generator(PCG64(seed))`, and campaigns give them one generator
-re-seeded per draw (`reseeded`) to the states `pcg64_states` derives for many
-seeds at once, which are the states `PCG64(seed)` starts from.
+API gives them `Generator(PCG64(seed))`, and campaigns give them `generators`,
+which builds the same generators for many seeds at once.  `seed_words` hashes
+all the seeds with numpy's SeedSequence in array arithmetic, and numpy's PCG64
+constructor seeds each generator from its row of words.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     HermiticityViolation,
     NonFiniteInput,
+    NonFiniteResult,
     NotSquareError,
     UnitarityViolation,
     at_row,
@@ -181,6 +184,8 @@ _M32 = 0xFFFFFFFF
 _POOL_WORDS = 4
 _XSHIFT = np.uint32(16)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# a uint64 seed splits into two uint32 words; two output words make one uint64
+_U32, _LO32 = np.uint64(32), np.uint64(_M32)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -224,13 +229,6 @@ _SOURCE_MIX = tuple(
 )
 _OUT_MIX = tuple(c.reshape(2, _POOL_WORDS, 1) for c in _schedule(_HASH_B, 0, 8))
 
-# pcg64_set_seed on (high, low) uint64 limbs of 128-bit numbers: the PCG64
-# multiplier, with its low word also split into 32-bit limbs for `_mulhi`
-_U32, _U63, _U64_1 = np.uint64(32), np.uint64(63), np.uint64(1)
-_LO32 = np.uint64(_M32)
-_MULT_HI, _MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_MULT_LO_HI, _MULT_LO_LO = _MULT_LO >> _U32, _MULT_LO & _LO32
-
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     value = (value ^ xor) * mult
@@ -242,25 +240,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> _XSHIFT)
 
 
-def _mulhi(a: np.ndarray, b_hi: np.uint64, b_lo: np.uint64) -> np.ndarray:
-    """High 64 bits of a * b for uint64 `a` and b = b_hi 2^32 + b_lo, from 32-bit limb products."""
-    a_hi, a_lo = a >> _U32, a & _LO32
-    low, cross_a, cross_b = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-    carry = ((low >> _U32) + (cross_a & _LO32) + (cross_b & _LO32)) >> _U32
-    return a_hi * b_hi + (cross_a >> _U32) + (cross_b >> _U32) + carry
+def seed_words(seeds) -> np.ndarray:
+    """`SeedSequence(seed).generate_state(4, np.uint64)` for each uint64 seed, as an (N, 4) array.
 
-
-def pcg64_states(seeds) -> list:
-    """(state, inc) that `np.random.PCG64(seed)` starts from, for each uint64 seed.
-
-    Reproduces `SeedSequence(seed).generate_state(4, np.uint64)` in uint32
-    array arithmetic, all seeds at once, then applies pcg64_set_seed:
-    inc = (initseq << 1) | 1 and state = ((inc + initstate) * MULT + inc)
-    mod 2^128, on (high, low) uint64 limbs.  A seed is hashed as its two
-    32-bit words (zero-padded to the pool size, which is what numpy does for
-    one word too).  Hashmix calls that do not depend on each other run as one
-    (count, N) operation, so the cost is about 100 array operations whatever
-    the number of seeds, plus making two Python ints per seed.
+    Reproduces numpy's SeedSequence hash in uint32 array arithmetic, all seeds
+    at once.  A seed is hashed as its two 32-bit words (zero-padded to the
+    pool size, which is what numpy does for one word too).  Hashmix calls that
+    do not depend on each other run as one (count, N) operation, so the cost
+    is about 60 array operations whatever the number of seeds.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     words = np.zeros((_POOL_WORDS,) + seeds.shape, dtype=np.uint32)
@@ -274,41 +261,44 @@ def pcg64_states(seeds) -> list:
         mixed[src] = pool[src]
         pool = mixed
     out = _hashmix(pool, *_OUT_MIX).reshape(4, 2, -1).astype(np.uint64)
-    hi_state, lo_state, hi_seq, lo_seq = out[:, 0] | out[:, 1] << _U32
-    inc_hi, inc_lo = hi_seq << _U64_1 | lo_seq >> _U63, lo_seq << _U64_1 | _U64_1
-    # (inc + initstate) * MULT + inc, each sum carrying from the low word
-    sum_lo = inc_lo + lo_state
-    sum_hi = inc_hi + hi_state + (sum_lo < inc_lo)
-    state_lo = sum_lo * _MULT_LO + inc_lo
-    state_hi = (_mulhi(sum_lo, _MULT_LO_HI, _MULT_LO_LO) + sum_lo * _MULT_HI
-                + sum_hi * _MULT_LO + inc_hi + (state_lo < inc_lo))
-    state, inc = (np.stack([state_hi, inc_hi]).astype(object) << 64 | np.stack([state_lo, inc_lo])).tolist()
-    return list(zip(state, inc))
+    return np.ascontiguousarray((out[:, 0] | out[:, 1] << _U32).T)
 
 
-class reseeded:
-    """`rng`, re-seeded to each PCG64 (state, inc) of `states` in turn.
+class _Rows(ISeedSequence):
+    """A seed sequence that gives out the rows of an (N, 4) uint64 array, one per `generate_state` call.
 
-    With states from `pcg64_states`, the k-th generator of the iteration draws
-    exactly what `Generator(PCG64(seeds[k]))` would; drawing one stream before
-    the next is the caller's job.  It has a length, so a sampler can allocate
-    its stack before the first draw.
+    PCG64's constructor makes one `generate_state(4, np.uint64)` call.
     """
 
-    def __init__(self, rng: np.random.Generator, states):
-        self._rng, self._states = rng, states
+    def __init__(self, words: np.ndarray):
+        self._next_row = iter(words).__next__
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._next_row()
+
+
+class generators:
+    """`Generator(PCG64(seed))` for each seed whose `seed_words` row is in `words`.
+
+    Each generator is built by numpy's own PCG64 constructor from its row, so
+    it starts exactly where `PCG64(seed)` starts.  It has a length, so a
+    sampler can allocate its stack before the first draw.
+    """
+
+    def __init__(self, words):
+        # PCG64 reads 4 words from each row's data pointer: a strided view
+        # would seed other bits, a shorter row would read past it
+        self._words = np.ascontiguousarray(words, dtype=np.uint64)
+        if self._words.ndim != 2 or self._words.shape[1] != 4:
+            raise ValueError(f"seed words must have shape (N, 4), got {self._words.shape}")
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._words)
 
     def __iter__(self) -> Iterator[np.random.Generator]:
-        bit_generator = self._rng.bit_generator
-        pcg = {"state": 0, "inc": 0}
-        full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-        for state, inc in self._states:
-            pcg["state"], pcg["inc"] = state, inc
-            bit_generator.state = full
-            yield self._rng
+        rows = _Rows(self._words)
+        for _ in range(len(self._words)):
+            yield np.random.Generator(np.random.PCG64(rows))
 
 
 def _fresh(seed: int) -> list:
@@ -335,7 +325,7 @@ def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
     """One ensemble draw per generator, as a (T, n, n) stack of exactly Hermitian arrays.
 
     `kind` must already be canonical; `rngs` is a list of generators or a
-    `reseeded` sequence.  Each generator draws its whole matrix before the
+    `generators` sequence.  Each generator draws its whole matrix before the
     next is advanced (GUE: the real then the imaginary n x n block), and the
     symmetrization runs on the stack.  Entries that overflow come out as inf
     or NaN without a numpy warning; a campaign makes them a NonFiniteInput
@@ -419,7 +409,8 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
     With `vectors`, returns (eigenvalues, eigenvectors) as `np.linalg.eigh`
     does.  Each matrix must be finite and exactly conjugate-symmetric; the
     first one that is not raises NonFiniteInput or HermiticityViolation with
-    its index as the error's `row`, as does a ConvergenceFailure.
+    its index as the error's `row`, as does a ConvergenceFailure, and a
+    NonFiniteResult for the first matrix whose eigenvalues overflow.
     """
     require_rows(np.isfinite(stack).all(axis=(1, 2)), NonFiniteInput,
                  "matrix contains NaN or infinity")
@@ -427,7 +418,7 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
                  "entries are not exactly conjugate-symmetric")
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
-        return solve(stack)
+        result = solve(stack)
     except np.linalg.LinAlgError as exc:
         for row, m in enumerate(stack):  # the stacked call does not say which matrix failed
             try:
@@ -435,3 +426,7 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
             except np.linalg.LinAlgError:
                 raise at_row(ConvergenceFailure(str(exc)), row) from exc
         raise ConvergenceFailure(str(exc)) from exc
+    # a finite matrix near the double limit can have an eigenvalue that overflows
+    require_rows(np.isfinite(result[0] if vectors else result).all(axis=1), NonFiniteResult,
+                 "eigenvalue overflows although the matrix is finite")
+    return result

@@ -151,7 +151,9 @@ def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.nda
 
     Each A must be finite, each U must pass the `UnitaryMatrix` test, and
     each U* A U must be Hermitian within 1e-10 * max(1, max |entry|) before
-    it is symmetrized to (M + M*)/2.
+    it is symmetrized to M/2 + M*/2 (halving first keeps a finite M near the
+    double limit finite; outside the subnormal range the bits are those of
+    (M + M*)/2).
     """
     # an infinite A makes U* A U NaN, which would read as a Hermiticity failure
     require_rows(np.isfinite(a).all(axis=(1, 2)), NonFiniteInput, "matrix contains NaN or infinity")
@@ -159,9 +161,11 @@ def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.nda
     m = conj_t(u) @ a @ u
     mh = conj_t(m)
     residual = np.abs(m - mh).max(axis=(1, 2))
+    # an entry of U* A U that overflows makes the residual inf or NaN
+    require_rows(np.isfinite(residual), NonFiniteInput, "U* A U overflows")
     require_rows(residual <= 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(1, 2))),
                  HermiticityViolation, "U* A U is not Hermitian within 1e-10")
-    values = f.rows(stacked_spectrum(np.concatenate([a, (m + mh) / 2.0])))
+    values = f.rows(stacked_spectrum(np.concatenate([a, 0.5 * m + 0.5 * mh])))
     reference, rotated = np.split(values, 2)
     return rotated, reference, _deviation(rotated, reference)
 

@@ -315,6 +315,14 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
+    def test_overflowing_spectrum_prints_only_the_error_line(self, tmp_path):
+        # eigvalsh gives [0, inf] for this finite matrix, and lse's inf - inf
+        # printed numpy's RuntimeWarning first
+        path = write(tmp_path / "m.json", {"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]})
+        proc = run_module("eval", "--fn", "lse", "--matrix", path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_infinite_imaginary_part_prints_only_the_error_line(self, tmp_path):
         # re + 1j * im with an infinite im entry printed numpy's RuntimeWarning first
         path = write(tmp_path / "m.json", {"n": 1, "re": [[0.0]], "im": [[-math.inf]]})

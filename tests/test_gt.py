@@ -28,9 +28,11 @@ from gtcert import (
     gt_weak_check,
     hessian_fd,
     lift,
+    lift_eval,
     log_trace_exp,
     log_trace_exp_product,
     lse_hessian_analytic,
+    midpoint_convexity_residual,
     psd_certify,
     random_hermitian,
     random_unitary,
@@ -38,7 +40,7 @@ from gtcert import (
     run_campaign,
 )
 import gtcert.gt as gt_module
-from gtcert.hermitian import pcg64_states
+from gtcert.hermitian import seed_words
 from gtcert.checks import slack_bound
 from gtcert.errors import require_rows
 from gtcert.gt import CHECK_KINDS
@@ -91,6 +93,19 @@ class TestLogTraceExp:
         top = float(np.linalg.eigvalsh(a.entries)[-1])
         val = log_trace_exp(a)
         assert top <= val <= top + math.log(7.0) + 1e-12
+
+    @quiet
+    @pytest.mark.parametrize("evaluate", [
+        log_trace_exp,
+        lambda a: log_trace_exp_product(a, a),
+        lambda a: lift_eval(lift(builtin("lse")), a),
+        lambda a: midpoint_convexity_residual(lift(builtin("lse")), a, a),
+    ])
+    def test_overflowing_spectrum_is_an_error_without_a_warning(self, evaluate):
+        # eigvalsh gives [0, inf] for the finite BIG_BLOCK; lse then computed
+        # inf - inf, returning NaN after numpy's "invalid value" warning
+        with pytest.raises(NonFiniteResult):
+            evaluate(BIG_BLOCK)
 
 
 class TestGtWeakCheck:
@@ -204,9 +219,9 @@ class TestConvexityCheck:
 
     @quiet
     def test_overflowing_spectrum_is_an_error_without_a_warning(self):
-        with pytest.raises(CampaignTrialError) as info:
+        # the eigensolver names the overflow before any lhs, rhs or slack is formed
+        with pytest.raises(NonFiniteResult):
             convexity_check(BIG_BLOCK, BIG_BLOCK)
-        assert isinstance(info.value.cause, NonFiniteResult)
 
 
 class TestCheckResult:
@@ -282,14 +297,16 @@ class TestSeedDerivation:
 
     @pytest.mark.parametrize("trials, chunk, streams", [(7, 16, 1), (2100, 64, 2), (1030, 1, 2)])
     def test_chunks_carry_each_trials_stream_states(self, trials, chunk, streams):
-        # seeds and states come a block at a time; every chunk still gets, per
-        # stream k, the state PCG64(derive_seed(trial_seed, k)) starts from
+        # seeds and words come a block at a time; every chunk still gets, per
+        # stream k, the seed words of PCG64(derive_seed(trial_seed, k))
         seen = 0
-        for start, seeds, states in gt_module._chunks(2**64 - 1, trials, chunk, streams):
+        for start, seeds, words in gt_module._chunks(2**64 - 1, trials, chunk, streams):
             assert start == seen and 1 <= len(seeds) <= chunk
             assert seeds == [derive_seed(2**64 - 1, i) for i in range(start, start + len(seeds))]
+            assert words.shape == (streams, len(seeds), 4)
             for k in range(streams):
-                assert states[k] == pcg64_states([derive_seed(s, k) for s in seeds])
+                assert np.array_equal(words[k], seed_words([derive_seed(s, k) for s in seeds]))
+                assert words[k].flags.c_contiguous
             seen += len(seeds)
         assert seen == trials
 

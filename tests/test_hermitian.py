@@ -28,11 +28,11 @@ from gtcert import (
     validate_hermitian,
 )
 from gtcert.hermitian import (
+    generators,
     haar_stack,
     hermitian_stack,
     parse_ensemble_kind,
-    pcg64_states,
-    reseeded,
+    seed_words,
     stacked_spectrum,
     vector_stack,
 )
@@ -265,28 +265,49 @@ class TestCampaignSeeding:
     def test_states_match_numpy_seeding(self):
         rng = np.random.default_rng(2024)
         seeds = EDGE_SEEDS + rng.integers(0, 2**64, 3000, dtype=np.uint64).tolist()
-        states = pcg64_states(seeds)
-        assert len(states) == len(seeds)
-        for seed, (state, inc) in zip(seeds, states):
-            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+        words = seed_words(seeds)
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous
+        streams = generators(words)
+        states = [rng.bit_generator.state for rng in streams]
+        assert len(streams) == len(states) == len(seeds)
+        for seed, row, state in zip(seeds, words, states):
+            np.testing.assert_array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+            assert state == np.random.PCG64(seed).state, seed
+
+    def test_strided_words_seed_the_right_bits(self):
+        # PCG64 reads its seed words through a raw data pointer, so a strided
+        # or transposed row would silently seed other bits; generators must
+        # make its words contiguous before handing rows out
+        seeds = EDGE_SEEDS + [123456789]
+        words = seed_words(seeds)
+        expected = [np.random.PCG64(s).state for s in seeds]
+        for view in (np.asfortranarray(words), np.repeat(words, 2, axis=1)[:, ::2]):
+            assert not view[0].flags.c_contiguous
+            np.testing.assert_array_equal(view, words)
+            assert [rng.bit_generator.state for rng in generators(view)] == expected
+        # and a row shorter than 4 words would make PCG64 read past it
+        for bad in (words[:, :2], words[0]):
+            with pytest.raises(ValueError):
+                generators(bad)
 
     @pytest.mark.parametrize("kind", ["gue", "goe", "diag"])
     def test_stack_samplers_match_single_draws(self, kind):
-        # one re-seeded generator draws, bit for bit, what PCG64(seed) draws
+        # the campaign's generators draw, bit for bit, what PCG64(seed) draws
         seeds = EDGE_SEEDS + [123456789]
-        rng = np.random.Generator(np.random.PCG64(0))
+        words = seed_words(seeds)
         for n in (1, 2, 8):
             specs = [EnsembleSpec(kind, n, 2.5, s) for s in seeds]
             np.testing.assert_array_equal(
-                hermitian_stack(kind, n, 2.5, reseeded(rng, pcg64_states(seeds))),
+                hermitian_stack(kind, n, 2.5, generators(words)),
                 np.stack([random_hermitian(spec).entries for spec in specs]),
             )
             np.testing.assert_array_equal(
-                vector_stack(kind, n, 2.5, reseeded(rng, pcg64_states(seeds))),
+                vector_stack(kind, n, 2.5, generators(words)),
                 np.stack([random_vector(spec) for spec in specs]),
             )
             np.testing.assert_array_equal(
-                haar_stack(n, reseeded(rng, pcg64_states(seeds))),
+                haar_stack(n, generators(words)),
                 np.stack([random_unitary(n, s).entries for s in seeds]),
             )
 

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from gtcert import (
     ConvergenceFailure,
     NonFiniteInput,
+    NonFiniteResult,
     RealSymmetricMatrix,
     SoftmaxWeights,
     complete_graph_laplacian,
@@ -346,6 +347,12 @@ class TestPsdCertify:
         # with the default tol it blamed the tol derived from the inf entry
         with pytest.raises(NonFiniteInput):
             psd_certify(RealSymmetricMatrix(np.diag([np.inf, 0.0])), tol)
+
+    def test_overflowing_spectrum_rejected(self):
+        # eigvalsh gives [0, inf] for this finite matrix; a certificate from
+        # an overflowed spectrum is not one
+        with pytest.raises(NonFiniteResult):
+            psd_certify(RealSymmetricMatrix(np.full((2, 2), 1e308)), 1e-10)
 
     def test_solver_failure(self, monkeypatch):
         def fail(m):

@@ -11,6 +11,7 @@ from gtcert import (
     HermitianMatrix,
     NonFiniteInput,
     SymmetricScalarFunction,
+    UnitaryMatrix,
     builtin,
     builtin_names,
     check_davis_restriction,
@@ -125,10 +126,20 @@ class TestUnitaryInvariance:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_an_error_without_a_warning(self):
-        # U* A U is finite, but M + M* in its symmetrization overflows; the
+        # A is finite, but U* A U has the entry 2e308, which overflows; the
         # error comes without numpy's warning first
+        a = HermitianMatrix(np.full((2, 2), 1e308, dtype=complex))
+        s = 2.0 ** -0.5
+        u = UnitaryMatrix(np.array([[s, s], [s, -s]], dtype=complex))
         with pytest.raises(NonFiniteInput):
-            check_unitary_invariance(lift(builtin("lse")), diag(1e308), random_unitary(1, 0), 1e-10)
+            check_unitary_invariance(lift(builtin("lse")), a, u, 1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rotation_near_the_double_limit(self):
+        # U* A U = 1e308 + 9.98e291j is finite; symmetrizing it as (M + M*)/2
+        # overflowed in M + M* and the check raised NonFiniteInput
+        res = check_unitary_invariance(lift(builtin("lse")), diag(1e308), random_unitary(1, 0), 1e-10)
+        assert res.lhs == res.rhs == 1e308 and res.passed
 
     @pytest.mark.parametrize("name", ["lse", "max", "pnorm:2"])
     def test_haar_rotations_pass(self, name):
