@@ -10,7 +10,6 @@ of spectrally lifted symmetric functions.
 
 from .checks import CheckResult
 from .errors import (
-    ArityMismatch,
     CampaignTrialError,
     ConvergenceFailure,
     DimensionMismatch,

@@ -1,14 +1,26 @@
-"""The record every check produces, with one shared pass rule."""
+"""The record every check produces, its one shared pass rule, and the validators of its inputs."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import CampaignTrialError, NonFiniteResult
+
+
+def is_int(value) -> bool:
+    """Whether `value` is an int and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_tol(tol) -> None:
+    """Raise ValueError unless `tol` is a finite real >= 0, the rule for every tolerance."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
 
 
 def slack_bound(rhs, tol: float):
@@ -31,7 +43,8 @@ class CheckResult:
 
     For inequality checks, slack = rhs - lhs; for identity checks, slack is
     minus the absolute deviation; for spectrum checks, slack is the minimum
-    eigenvalue.  In every case: passed iff slack >= -tol * max(1, |rhs|).
+    eigenvalue.  In every case: passed iff slack >= -tol * max(1, |rhs|),
+    with `tol` finite and >= 0.
     A non-finite lhs, rhs or slack neither passes nor fails: it raises
     CampaignTrialError carrying `trial_seed`.
     """
@@ -43,8 +56,7 @@ class CheckResult:
     trial_seed: int = 0
 
     def __post_init__(self):
-        if not (self.tol >= 0):
-            raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
+        require_tol(self.tol)
         if not all(math.isfinite(v) for v in (self.lhs, self.rhs, self.slack)):
             raise non_finite_trial(None, self.trial_seed, self.lhs, self.rhs, self.slack)
 

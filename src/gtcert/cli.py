@@ -89,13 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True, metavar="subcommand")
 
+    # each single check is bound as a lambda that looks the module attribute up
+    # per call, so the parser, built once, calls a patched binding (perfbench's
+    # span tracer patches them) and not the function it saw when it was built
     p = sub.add_parser("verify-gt", help="certify log tr exp(A+B) <= log tr exp(A) + log tr exp(B)")
     _campaign_flags(p, matrices=True)
-    p.set_defaults(run=functools.partial(_cmd_verify, kind="GT_WEAK"))
+    p.set_defaults(run=functools.partial(
+        _cmd_verify, kind="GT_WEAK", check=lambda a, b, tol: gt_weak_check(a, b, tol)))
 
     p = sub.add_parser("verify-convexity", help="certify midpoint convexity of log tr exp")
     _campaign_flags(p, matrices=True)
-    p.set_defaults(run=functools.partial(_cmd_verify, kind="MIDPOINT_CONVEXITY"))
+    p.set_defaults(run=functools.partial(
+        _cmd_verify, kind="MIDPOINT_CONVEXITY", check=lambda a, b, tol: convexity_check(a, b, tol)))
 
     p = sub.add_parser("hessian-check",
                        help="certify the log-sum-exp Hessian: PSD spectrum and "
@@ -162,13 +167,12 @@ def _run_campaigns(args, configs) -> int:
     return 0 if all(r.violations == 0 for r in reports) else 1
 
 
-def _single_check(args, kind) -> int:
+def _single_check(args, kind, check) -> int:
     if not (args.matrix and args.matrix_b):
         print("error: --matrix and --matrix-b must be given together", file=sys.stderr)
         return 2
     a = load_matrix(args.matrix)
     b = load_matrix(args.matrix_b)
-    check = gt_weak_check if kind == "GT_WEAK" else convexity_check
     result = check(a, b, args.tol)
     verdict = "PASS" if result.passed else "FAIL"
     print(
@@ -187,9 +191,10 @@ def _single_check(args, kind) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_verify(args, kind) -> int:
+def _cmd_verify(args, kind, check) -> int:
+    """A campaign of `kind`, or the single check `check` when matrix files are given."""
     if args.matrix or args.matrix_b:
-        return _single_check(args, kind)
+        return _single_check(args, kind, check)
     config = CampaignConfig(kind, _ensemble(args), args.trials, args.tol, args.parallel)
     return _run_campaigns(args, [config])
 

@@ -52,10 +52,6 @@ class NonFiniteResult(Error):
     """A check computed a NaN or infinite lhs, rhs or slack."""
 
 
-class ArityMismatch(Error):
-    """A fixed-arity function was applied to the wrong dimension."""
-
-
 class MatrixParseError(Error):
     """A matrix file is malformed."""
 

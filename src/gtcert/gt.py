@@ -27,8 +27,16 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .checks import CheckResult, first_result, non_finite_trial, quiet_rows, slack_bound
-from .errors import CampaignTrialError, DimensionMismatch, Error, NonFiniteInput, require_rows
+from .checks import (
+    CheckResult,
+    first_result,
+    is_int,
+    non_finite_trial,
+    quiet_rows,
+    require_tol,
+    slack_bound,
+)
+from .errors import CampaignTrialError, Error, NonFiniteInput, require_rows
 from .hermitian import (
     GENERATOR_ID,
     EnsembleSpec,
@@ -44,8 +52,10 @@ from .hermitian import (
 from .logsumexp import hessian_fd_rows, hessian_rows, lse_rows
 from .spectral import (
     SymmetricScalarFunction,
+    _same_n,
     builtin,
     davis_restriction_rows,
+    segment_rows,
     unitary_invariance_rows,
 )
 
@@ -134,14 +144,6 @@ def _gt_strong(f, a, b):
     return lhs, rhs, rhs - lhs
 
 
-def _midpoint(f, a, b):
-    # outside the subnormal range, halving before adding gives the bits of
-    # (A + B)/2, and it stays finite where A + B overflows
-    fa, fb, fm = np.split(_log_trace_exp_rows(np.concatenate([a, b, 0.5 * a + 0.5 * b])), 3)
-    rhs = 0.5 * fa + 0.5 * fb
-    return fm, rhs, rhs - fm
-
-
 def _require_finite_vectors(x):
     # the row kernels do not validate: a -inf entry gets softmax weight 0, so
     # the Hessian and the stencil stay finite and the trial would pass
@@ -163,11 +165,6 @@ def _hessian_fd_match(f, x):
 def log_trace_exp(a: HermitianMatrix) -> float:
     """log tr exp(A) = lse(eigenvalues of A); finite for any finite spectrum."""
     return float(_log_trace_exp_rows(a.entries[None])[0])
-
-
-def _same_n(a: HermitianMatrix, b: HermitianMatrix) -> None:
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} x {a.n} vs {b.n} x {b.n}")
 
 
 def log_trace_exp_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
@@ -197,7 +194,7 @@ def convexity_check(
 ) -> CheckResult:
     """Certify midpoint convexity of log_trace_exp on the segment [A, B]."""
     _same_n(a, b)
-    return first_result(_midpoint, None, a.entries[None], b.entries[None], tol=tol)
+    return first_result(segment_rows, builtin("lse"), a.entries[None], b.entries[None], tol=tol)
 
 
 def _matrices(ens: EnsembleSpec, rngs) -> np.ndarray:
@@ -259,7 +256,7 @@ class CheckKind:
 
 CHECKS = {
     "GT_WEAK": CheckKind(_PAIR, _gt_weak, _matrix_entries),
-    "MIDPOINT_CONVEXITY": CheckKind(_PAIR, _midpoint, _matrix_entries),
+    "MIDPOINT_CONVEXITY": CheckKind(_PAIR, segment_rows, _matrix_entries),
     "HESSIAN_PSD": CheckKind(_VECTOR, _hessian_psd, _hessian_entries),
     "UNITARY_INVARIANCE": CheckKind(_ROTATION, unitary_invariance_rows, _matrix_entries),
     # tr exp(A+B) <= tr(exp A exp B), a tighter bound than the product form;
@@ -277,10 +274,11 @@ CHECK_KINDS = tuple(CHECKS)
 class CampaignConfig:
     """What to check, over which ensemble, how many times, at what tolerance.
 
-    `fn` names the built-in used by UNITARY_INVARIANCE and DAVIS_RESTRICTION
-    trials (default lse, the central object).  `parallel` is accepted for
-    compatibility and has no effect: every campaign runs the same chunked,
-    batched schedule, and the report never depends on it.
+    `fn` names the built-in that MIDPOINT_CONVEXITY, UNITARY_INVARIANCE and
+    DAVIS_RESTRICTION trials lift (default lse, the central object).
+    `parallel` is accepted for compatibility and has no effect: every
+    campaign runs the same chunked, batched schedule, and the report never
+    depends on it.
     """
 
     check_kind: str
@@ -295,10 +293,9 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown check kind {self.check_kind!r}; expected one of {CHECK_KINDS}"
             )
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (is_int(self.trials) and self.trials >= 1):
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (np.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be a nonnegative real, got {self.tol!r}")
+        require_tol(self.tol)
         if self.fn is not None:
             builtin(self.fn)  # fail fast on unknown names
 

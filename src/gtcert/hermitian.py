@@ -21,9 +21,9 @@ from typing import Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .checks import is_int, require_tol
 from .errors import (
     ConvergenceFailure,
-    DimensionMismatch,
     HermiticityViolation,
     NonFiniteInput,
     NonFiniteResult,
@@ -49,9 +49,10 @@ def _as_square(entries, err: str) -> np.ndarray:
 class HermitianMatrix:
     """Immutable dense matrix whose entries equal their conjugate transpose exactly.
 
-    The constructor demands exact conjugate symmetry (closed under sums,
-    real scaling, and the symmetrization performed by `validate_hermitian`).
-    Near-Hermitian input goes through `validate_hermitian` instead.
+    The constructor demands exact conjugate symmetry, which the symmetrization
+    performed by `validate_hermitian` gives; near-Hermitian input goes through
+    `validate_hermitian` instead.  The type holds validated entries and does
+    no arithmetic: checks combine the `entries` of stacked matrices directly.
     """
 
     __slots__ = ("_entries",)
@@ -73,21 +74,6 @@ class HermitianMatrix:
     @property
     def n(self) -> int:
         return self._entries.shape[0]
-
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if not isinstance(other, HermitianMatrix):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch(f"{self.n} x {self.n} + {other.n} x {other.n}")
-        return HermitianMatrix(self._entries + other._entries)
-
-    def __mul__(self, t):
-        # real scalars only; complex scaling does not preserve hermiticity
-        if not np.isrealobj(np.asarray(t)) or np.ndim(t) != 0:
-            return NotImplemented
-        return HermitianMatrix(float(t) * self._entries)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(n={self.n})"
@@ -136,14 +122,14 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", parse_ensemble_kind(self.kind))
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
         if self.kind == "diag" and not np.isfinite(2.0 * self.scale):
             # numpy's uniform draw needs the width of [-scale, scale] to be finite
             raise ValueError(f"diag scale must be at most {np.finfo(float).max / 2:.6g}, got {self.scale!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
@@ -164,8 +150,7 @@ def validate_hermitian(entries, tol: float) -> HermitianMatrix:
     subnormal range gives the same bits as (M + M*)/2.  Raises NotSquareError,
     NonFiniteInput or HermiticityViolation.
     """
-    if not (np.isscalar(tol) and tol >= 0):
-        raise ValueError(f"tol must be a nonnegative real, got {tol!r}")
+    require_tol(tol)
     arr = _as_square(entries, "validate_hermitian")
     if not np.isfinite(arr).all():
         raise NonFiniteInput("matrix contains NaN or infinity")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import require_tol
 from .errors import NonFiniteInput
 from .hermitian import stacked_spectrum
 
@@ -220,8 +221,7 @@ def psd_certify(m: RealSymmetricMatrix, tol: float | None = None) -> PsdCertific
     w = stacked_spectrum(m.entries[None])[0]
     if tol is None:
         tol = 1e-10 * max(1.0, float(np.max(np.abs(m.entries))))
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a nonnegative real, got {tol!r}")
+    require_tol(tol)
     w_min = float(w[0])
     return PsdCertificate(
         min_eigenvalue=w_min,

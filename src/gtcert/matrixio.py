@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .checks import is_int
 from .errors import MatrixParseError, NonFiniteInput
 from .hermitian import HermitianMatrix, validate_hermitian
 
@@ -42,7 +43,7 @@ def loads_matrix(text: str) -> HermitianMatrix:
     if not isinstance(doc, dict):
         raise MatrixParseError("top-level value must be an object")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not (is_int(n) and n >= 1):
         raise MatrixParseError(f"field 'n' must be a positive integer, got {n!r}")
     if "re" not in doc:
         raise MatrixParseError("missing field 're'")

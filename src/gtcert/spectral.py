@@ -5,19 +5,22 @@ lifts to a unitarily invariant function of a Hermitian matrix by evaluation on
 the spectrum: F(A) = f(eigenvalues of A).  The lift preserves convexity in
 both directions, so convexity of F can be probed through f on vectors and
 through F on matrix segments, independently.
+
+Every f is row-wise: it maps a (T, n) array to T values, so a check evaluates
+a whole stack of vectors or spectra in one call, and the public single checks
+run the same evaluators on a batch of one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .checks import CheckResult, first_result
+from .checks import CheckResult, first_result, quiet_rows
 from .errors import (
-    ArityMismatch,
     DimensionMismatch,
     HermiticityViolation,
     NonFiniteInput,
@@ -31,43 +34,21 @@ from .hermitian import (
     stacked_spectrum,
     unitarity_rows,
 )
-from .logsumexp import _as_vector, lse, lse_rows
-
-_CONVEXITY_FLAGS = ("convex", "concave", "neither")
+from .logsumexp import _as_vector, lse_rows
 
 
 @dataclass(frozen=True)
 class SymmetricScalarFunction:
     """Named scalar function of a real vector, permutation-invariant by contract.
 
-    `arity` of None accepts any dimension.  `convexity` is a declaration, not
-    a computation; checks use it to decide whether a negative convexity
-    residual is a finding or expected behavior.  `evaluate_rows`, if given,
-    evaluates every row of a (T, n) array at once; spectral checks go
-    through `rows`, which falls back to `evaluate` row by row.
+    `rows` maps a finite (T, n) array to its T values, one per row, for any n.
     """
 
     name: str
-    evaluate: Callable[[np.ndarray], float]
-    convexity: str
-    arity: Optional[int] = None
-    evaluate_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.convexity not in _CONVEXITY_FLAGS:
-            raise ValueError(f"convexity must be one of {_CONVEXITY_FLAGS}")
-        if self.arity is not None and self.arity < 1:
-            raise ValueError(f"arity must be None or >= 1, got {self.arity!r}")
+    rows: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x) -> float:
-        arr = _vector_arg(self, x)
-        return float(self.evaluate(arr))
-
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        """f of each row of a finite (T, n) array."""
-        if self.evaluate_rows is not None:
-            return self.evaluate_rows(x)
-        return np.array([float(self.evaluate(row)) for row in x])
+        return float(self.rows(_as_vector(x)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -85,21 +66,13 @@ def lift(f: SymmetricScalarFunction) -> SpectralFunction:
     return SpectralFunction(f)
 
 
-def _vector_arg(f: SymmetricScalarFunction, x) -> np.ndarray:
-    arr = _as_vector(x)
-    _require_arity(f, arr.shape[0])
-    return arr
-
-
-def _require_arity(f: SymmetricScalarFunction, n: int) -> None:
-    """Raise ArityMismatch unless f accepts length n: a vector's length or a matrix's size."""
-    if f.arity is not None and f.arity != n:
-        raise ArityMismatch(f"{f.name} has arity {f.arity}, got dimension {n}")
+def _same_n(a: HermitianMatrix, b: HermitianMatrix) -> None:
+    if a.n != b.n:
+        raise DimensionMismatch(f"{a.n} x {a.n} vs {b.n} x {b.n}")
 
 
 def lift_eval(func: SpectralFunction, a: HermitianMatrix) -> float:
     """F(A): the base function applied to the ascending spectrum of A."""
-    _require_arity(func.base, a.n)
     return float(func.base.rows(stacked_spectrum(a.entries[None]))[0])
 
 
@@ -113,28 +86,24 @@ def check_symmetry(
     """Probe permutation invariance of f at x.
 
     All n! permutations when n <= 5, otherwise n_perms draws seeded by `seed`
-    (the sampling is pure).  Records the worst deviation: slack is minus the
-    largest |f(permuted x) - f(x)|.
+    (the sampling is pure), evaluated in one `rows` call.  Records the first
+    largest deviation: slack is minus the largest |f(permuted x) - f(x)|,
+    and a NaN deviation counts as the largest.
     """
-    arr = _vector_arg(f, x)
+    arr = _as_vector(x)
     if n_perms < 1:
         raise ValueError(f"n_perms must be >= 1, got {n_perms}")
     n = arr.shape[0]
     if n <= 5:
-        perms = itertools.permutations(range(n))
+        perms = np.array(list(itertools.permutations(range(n))))
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
-        perms = (rng.permutation(n) for _ in range(n_perms))
-
-    reference = float(f.evaluate(arr))
-    worst_dev = 0.0
-    worst_val = reference
-    for perm in perms:
-        val = float(f.evaluate(arr[list(perm)]))
-        dev = abs(val - reference)
-        if dev > worst_dev:
-            worst_dev, worst_val = dev, val
-    return CheckResult(lhs=worst_val, rhs=reference, slack=-worst_dev, tol=tol, trial_seed=seed)
+        perms = np.array([rng.permutation(n) for _ in range(n_perms)])
+    reference, values = f(arr), f.rows(arr[perms])
+    dev = _deviation(values, reference)
+    worst = int(dev.argmin())
+    lhs = float(values[worst]) if dev[worst] < 0 else reference
+    return CheckResult(lhs=lhs, rhs=reference, slack=float(dev[worst]), tol=tol, trial_seed=seed)
 
 
 def _deviation(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -176,8 +145,20 @@ def check_unitary_invariance(
     """Compare F(U* A U) against F(A); slack is minus the deviation."""
     if a.n != u.n:
         raise DimensionMismatch(f"matrix is {a.n} x {a.n}, unitary is {u.n} x {u.n}")
-    _require_arity(func.base, a.n)
     return first_result(unitary_invariance_rows, func.base, a.entries[None], u.entries[None], tol=tol)
+
+
+def segment_rows(f: SymmetricScalarFunction, a: np.ndarray, b: np.ndarray, t: float = 0.5):
+    """(F(tA + (1-t)B), tF(A) + (1-t)F(B), slack) arrays for stacks of A and B, F the lift of f.
+
+    slack = chord - F(point) is nonnegative when f is convex; all three
+    spectra come from one solver call.  At t = 0.5, halving before adding
+    gives the bits of (A + B)/2 outside the subnormal range, and stays
+    finite where A + B overflows.
+    """
+    fa, fb, fp = np.split(f.rows(stacked_spectrum(np.concatenate([a, b, t * a + (1 - t) * b]))), 3)
+    chord = t * fa + (1 - t) * fb
+    return fp, chord, chord - fp
 
 
 def midpoint_convexity_residual(
@@ -197,8 +178,8 @@ def segment_convexity_residual(
     """t F(A) + (1-t) F(B) - F(t A + (1-t) B) for t in [0, 1]."""
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    chord = t * lift_eval(func, a) + (1.0 - t) * lift_eval(func, b)
-    return chord - lift_eval(func, t * a + (1.0 - t) * b)
+    _same_n(a, b)
+    return float(quiet_rows(segment_rows, func.base, a.entries[None], b.entries[None], t)[2][0])
 
 
 def davis_restriction_rows(f: SymmetricScalarFunction, x: np.ndarray):
@@ -217,36 +198,30 @@ def check_davis_restriction(f: SymmetricScalarFunction, x, tol: float) -> CheckR
     For symmetric f these agree up to eigensolver noise regardless of the
     ordering of x, since the solver returns the sorted diagonal.
     """
-    return first_result(davis_restriction_rows, f, _vector_arg(f, x)[None], tol=tol)
+    return first_result(davis_restriction_rows, f, _as_vector(x)[None], tol=tol)
 
 
 def _pnorm(p: float) -> SymmetricScalarFunction:
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"pnorm requires a finite p >= 1, got {p!r}")
 
-    def evaluate_rows(x: np.ndarray) -> np.ndarray:
+    def rows(x: np.ndarray) -> np.ndarray:
         # |x|^p may overflow to inf, which the checks and the CLI reject as non-finite
         with np.errstate(over="ignore"):
             return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
 
-    return SymmetricScalarFunction(
-        f"pnorm:{p:g}", lambda x: float(evaluate_rows(x)), "convex",
-        evaluate_rows=evaluate_rows,
-    )
+    return SymmetricScalarFunction(f"pnorm:{p:g}", rows)
 
 
-def _reduction(name: str, reduce, convexity: str) -> SymmetricScalarFunction:
-    return SymmetricScalarFunction(
-        name, lambda x: float(reduce(x)), convexity,
-        evaluate_rows=lambda x: reduce(x, axis=-1),
-    )
+def _reduction(name: str, reduce) -> SymmetricScalarFunction:
+    return SymmetricScalarFunction(name, lambda x: reduce(x, axis=-1))
 
 
 _BUILTINS = {
-    "lse": SymmetricScalarFunction("lse", lse, "convex", evaluate_rows=lse_rows),
-    "max": _reduction("max", np.max, "convex"),
-    "min": _reduction("min", np.min, "concave"),
-    "sum": _reduction("sum", np.sum, "convex"),
+    "lse": SymmetricScalarFunction("lse", lse_rows),
+    "max": _reduction("max", np.max),
+    "min": _reduction("min", np.min),
+    "sum": _reduction("sum", np.sum),
 }
 
 

@@ -315,6 +315,14 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize("command", ["verify-gt", "verify-convexity"])
+    def test_infinite_tol_single_check_is_a_usage_error(self, tmp_path, command):
+        # --tol inf printed PASS and exited 0, while campaign mode exited 2
+        path = write(tmp_path / "m.json", {"n": 2, "re": [[1.0, 0.5], [0.5, -1.0]]})
+        proc = run_module(command, "--seed", "0", "--matrix", path, "--matrix-b", path, "--tol", "inf")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_overflowing_spectrum_prints_only_the_error_line(self, tmp_path):
         # eigvalsh gives [0, inf] for this finite matrix, and lse's inf - inf
         # printed numpy's RuntimeWarning first
@@ -389,6 +397,21 @@ class TestParserReuse:
         assert [code for _, code, *_ in reused] == [0, 2, 0, 0, 0, 2, 0, 0, 0]
         assert all(written for argv, code, _, _, written in reused
                    if code == 0 and "--help" not in argv)
+
+    @pytest.mark.parametrize("command, name", [
+        ("verify-gt", "gt_weak_check"), ("verify-convexity", "convexity_check"),
+    ])
+    def test_single_checks_go_through_the_module_binding(self, tmp_path, capsys, monkeypatch,
+                                                         command, name):
+        # the span tracer patches cli's module attributes after the parser is
+        # built; a check captured by the parser bypassed it
+        a = write(tmp_path / "a.json", {"n": 2, "re": [[1.0, 0.0], [0.0, -1.0]]})
+        argv = [command, "--matrix", a, "--matrix-b", a, "--seed", "0"]
+        assert main(argv) == 0
+        called = []
+        check = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: called.append(1) or check(*args))
+        assert main(argv) == 0 and called == [1]
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()

@@ -38,6 +38,7 @@ from gtcert import (
     random_unitary,
     random_vector,
     run_campaign,
+    segment_convexity_residual,
 )
 import gtcert.gt as gt_module
 from gtcert.hermitian import seed_words
@@ -156,6 +157,11 @@ class TestGtWeakCheck:
         with pytest.raises(NonFiniteInput):
             gt_weak_check(BIG, BIG)
 
+    def test_infinite_tol_rejected(self):
+        # tol=inf passed any pair, while a campaign at tol=inf was refused
+        with pytest.raises(ValueError):
+            gt_weak_check(gue(2, 0), gue(2, 1), math.inf)
+
 
 class TestGtStrongCheck:
     def test_tighter_than_product_bound(self):
@@ -223,6 +229,14 @@ class TestConvexityCheck:
         with pytest.raises(NonFiniteResult):
             convexity_check(BIG_BLOCK, BIG_BLOCK)
 
+    def test_slack_is_the_lse_midpoint_residual(self):
+        # the check and the library residual run one segment evaluator
+        f = lift(builtin("lse"))
+        for n, seed in ((1, 0), (2, 1), (5, 2), (8, 3)):
+            a, b = gue(n, 2 * seed, 30.0), gue(n, 2 * seed + 1)
+            assert convexity_check(a, b).slack == midpoint_convexity_residual(f, a, b)
+        assert convexity_check(BIG, BIG).slack == midpoint_convexity_residual(f, BIG, BIG)
+
 
 class TestCheckResult:
     def test_pass_rule_enforced(self):
@@ -238,6 +252,12 @@ class TestCheckResult:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             CheckResult(lhs=0.0, rhs=1.0, slack=1.0, tol=-1e-10)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1j, "0"])
+    def test_tol_must_be_a_finite_real(self, tol):
+        # tol=inf passed a slack of -5
+        with pytest.raises(ValueError):
+            CheckResult(lhs=0.0, rhs=1.0, slack=-5.0, tol=tol)
 
     @pytest.mark.parametrize("fields", [
         dict(lhs=math.nan),
@@ -518,6 +538,17 @@ class TestRunCampaign:
         report = run_campaign(config("DAVIS_RESTRICTION", trials=20, fn="max"))
         assert report.violations == 0
 
+    @pytest.mark.parametrize("fn", [None, "pnorm:3", "min"])
+    def test_midpoint_campaign_lifts_its_function(self, fn):
+        # the worst trial replays through the library's segment residual at
+        # t = 0.5, and the concave min shows violations
+        report = run_campaign(config("MIDPOINT_CONVEXITY", n=3, trials=70, fn=fn))
+        ens, seed = report.config.ensemble, report.worst_trial_seed
+        a, b = (random_hermitian(dataclasses.replace(ens, seed=derive_seed(seed, k))) for k in (0, 1))
+        func = lift(builtin(fn or "lse"))
+        assert segment_convexity_residual(func, a, b, 0.5) == report.worst_slack
+        assert (report.violations > 0) == (fn == "min")
+
     def test_trial_error_carries_seed(self, monkeypatch):
         def explode(f, *stacks):
             raise DimensionMismatch("synthetic failure")
@@ -561,7 +592,11 @@ class TestRunCampaign:
         with pytest.raises(ValueError):
             config("GT_WEAK", trials=0)
         with pytest.raises(ValueError):
+            config("GT_WEAK", trials=True)
+        with pytest.raises(ValueError):
             config("GT_WEAK", tol=-1.0)
+        with pytest.raises(ValueError):
+            config("GT_WEAK", tol=math.inf)
         with pytest.raises(ValueError):
             config("GT_WEAK", fn="median")
 

@@ -78,6 +78,12 @@ class TestValidateHermitian:
         with pytest.raises(ValueError):
             validate_hermitian(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, "1e-10"])
+    def test_tol_must_be_a_finite_real(self, tol):
+        # tol=inf accepted [[0, 1], [5, 0]] and returned the off-diagonal 3
+        with pytest.raises(ValueError):
+            validate_hermitian([[0.0, 1.0], [5.0, 0.0]], tol)
+
     def test_one_by_one(self):
         h = validate_hermitian([[3.0]], 0.0)
         assert h.n == 1 and h.entries[0, 0] == 3.0
@@ -88,16 +94,6 @@ class TestHermitianMatrix:
         m = np.array([[1.0, 1e-15j], [0.0, 1.0]])
         with pytest.raises(HermiticityViolation):
             HermitianMatrix(m)
-
-    def test_sum_and_scaling_stay_exact(self):
-        a = gue(6, 11)
-        b = gue(6, 12)
-        for h in (a + b, 0.25 * a, a + 2.0 * b):
-            assert np.array_equal(h.entries, h.entries.conj().T)
-
-    def test_dimension_mismatch_on_add(self):
-        with pytest.raises(DimensionMismatch):
-            gue(3, 1) + gue(4, 1)
 
     def test_entries_read_only(self):
         a = gue(3, 5)
@@ -192,6 +188,10 @@ class TestEnsembles:
             dict(kind="gue", n=2, scale=float("nan"), seed=0),
             dict(kind="gue", n=2, scale=1.0, seed=-1),
             dict(kind="gue", n=2, scale=1.0, seed=2**64),
+            # bools are ints to Python; seed=True reached the report as "seed": true
+            dict(kind="gue", n=True, scale=1.0, seed=0),
+            dict(kind="gue", n=2, scale=1.0, seed=True),
+            dict(kind="gue", n=2, scale=1.0, seed=False),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -341,6 +341,11 @@ class TestPsdCertify:
         with pytest.raises(ValueError):
             psd_certify(complete_graph_laplacian(2), tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            psd_certify(complete_graph_laplacian(2), tol=tol)
+
     @pytest.mark.parametrize("tol", [1e-10, None])
     def test_non_finite_entries_rejected(self, tol):
         # with tol=1e-10 the certificate read min_eigenvalue=nan, passed=False;

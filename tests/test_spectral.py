@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gtcert import (
-    ArityMismatch,
+    DimensionMismatch,
     EnsembleSpec,
     HermitianMatrix,
     NonFiniteInput,
@@ -26,6 +26,9 @@ from gtcert import (
 )
 
 LOG_2_COSH_1 = 1.1269280110429725  # log(e + 1/e)
+
+# not symmetric: the first coordinate of each row
+FIRST = SymmetricScalarFunction("first", lambda x: x[..., 0])
 
 
 def diag(*values):
@@ -53,23 +56,10 @@ class TestLiftEval:
         assert lift_eval(lift(builtin("pnorm:2")), diag(3.0, 4.0)) == pytest.approx(5.0, abs=1e-12)
         assert lift_eval(lift(builtin("pnorm:1")), diag(-3.0, 4.0)) == pytest.approx(7.0, abs=1e-12)
 
-    def test_fixed_arity_enforced(self):
-        f = SymmetricScalarFunction("mean3", lambda x: float(np.mean(x)), "convex", arity=3)
-        with pytest.raises(ArityMismatch):
-            lift_eval(lift(f), diag(1.0, 2.0))
-        assert lift_eval(lift(f), diag(1.0, 2.0, 3.0)) == pytest.approx(2.0)
-
 
 class TestBuiltins:
     def test_registry_contents(self):
         assert set(builtin_names()) == {"lse", "max", "min", "sum"}
-
-    @pytest.mark.parametrize("name,flag", [
-        ("lse", "convex"), ("max", "convex"), ("min", "concave"),
-        ("sum", "convex"), ("pnorm:2", "convex"), ("pnorm:1.5", "convex"),
-    ])
-    def test_convexity_declarations(self, name, flag):
-        assert builtin(name).convexity == flag
 
     def test_pnorm_parsing(self):
         assert builtin("pnorm:2.5").name == "pnorm:2.5"
@@ -94,10 +84,22 @@ class TestCheckSymmetry:
         assert res.passed and res.slack == 0.0
 
     def test_first_coordinate_fails(self):
-        f = SymmetricScalarFunction("first", lambda x: float(x[0]), "neither")
-        res = check_symmetry(f, [0.0, 1.0], tol=1e-12)
+        res = check_symmetry(FIRST, [0.0, 1.0], tol=1e-12)
         assert not res.passed
         assert res.slack == pytest.approx(-1.0)
+
+    def test_first_largest_deviation_is_reported(self):
+        # the permutations of [0, 2, -2], in itertools order, have the first
+        # coordinates 0, 0, 2, 2, -2, -2: 2 and -2 deviate equally, and the
+        # first of them is the lhs
+        res = check_symmetry(FIRST, [0.0, 2.0, -2.0], tol=1e-12)
+        assert (res.lhs, res.rhs, res.slack) == (2.0, 0.0, -2.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_infinite_tol_rejected(self, tol):
+        # tol=inf made the non-symmetric first coordinate pass
+        with pytest.raises(ValueError):
+            check_symmetry(FIRST, [0.0, 1.0], tol=tol)
 
     def test_sampled_permutations_above_five(self):
         rng = np.random.default_rng(0)
@@ -118,6 +120,10 @@ class TestCheckSymmetry:
 
 
 class TestUnitaryInvariance:
+    def test_infinite_tol_rejected(self):
+        with pytest.raises(ValueError):
+            check_unitary_invariance(lift(builtin("lse")), gue(3, 1), random_unitary(3, 2), math.inf)
+
     def test_identity_unitary_gives_zero_deviation(self):
         from gtcert import UnitaryMatrix
         a = gue(4, 9)
@@ -177,6 +183,13 @@ class TestConvexityResiduals:
         assert segment_convexity_residual(f, a, b, 1.0) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
             segment_convexity_residual(f, a, b, 1.5)
+
+    def test_sizes_must_match(self):
+        f = lift(builtin("lse"))
+        with pytest.raises(DimensionMismatch):
+            segment_convexity_residual(f, gue(3, 1), gue(4, 1), 0.25)
+        with pytest.raises(DimensionMismatch):
+            midpoint_convexity_residual(f, gue(3, 1), gue(4, 1))
 
     def test_linear_base_stays_at_zero(self):
         f = lift(builtin("sum"))
