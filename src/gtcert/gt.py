@@ -215,7 +215,8 @@ _VECTOR = (_vectors,)
 
 
 def _matrix_entries(n: int) -> int:
-    # the two sampled complex matrices, the solver stack and its temporaries
+    # the two sampled matrices, the solver stack and its temporaries, all
+    # counted as complex (gue); goe and diag trials hold half of it
     return 16 * n * n
 
 

@@ -40,7 +40,13 @@ _ENSEMBLE_KINDS = ("gue", "goe", "diag")
 
 
 def _as_square(entries, err: str) -> np.ndarray:
-    arr = np.array(entries, dtype=np.complex128)
+    """A new float64 array for bool, integer or real entries, complex128 for any other.
+
+    numpy's eigh and eigvalsh pick their LAPACK routine by dtype, so a real
+    symmetric matrix that stays float64 goes to the real symmetric solver.
+    """
+    arr = np.array(entries)
+    arr = arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NotSquareError(f"{err}: shape {arr.shape}")
     return arr
@@ -53,6 +59,9 @@ class HermitianMatrix:
     performed by `validate_hermitian` gives; near-Hermitian input goes through
     `validate_hermitian` instead.  The type holds validated entries and does
     no arithmetic: checks combine the `entries` of stacked matrices directly.
+    `entries` is float64 when the input has a bool, integer or real dtype (a
+    real symmetric matrix) and complex128 otherwise; a check on a real and a
+    complex matrix promotes the real one where it combines them.
     """
 
     __slots__ = ("_entries",)
@@ -80,7 +89,7 @@ class HermitianMatrix:
 
 
 class UnitaryMatrix:
-    """Square complex matrix with max |U*U - I| <= 1e-10, checked at construction."""
+    """Square matrix with max |U*U - I| <= 1e-10, checked at construction; dtype as in HermitianMatrix."""
 
     __slots__ = ("_entries",)
 
@@ -122,15 +131,20 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", parse_ensemble_kind(self.kind))
-        if not (is_int(self.n) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _require_size_and_seed(self.n, self.seed)
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
         if self.kind == "diag" and not np.isfinite(2.0 * self.scale):
             # numpy's uniform draw needs the width of [-scale, scale] to be finite
             raise ValueError(f"diag scale must be at most {np.finfo(float).max / 2:.6g}, got {self.scale!r}")
-        if not (is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+
+
+def _require_size_and_seed(n, seed) -> None:
+    """Raise ValueError unless n is a positive int and seed an unsigned 64-bit int (bools are neither)."""
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not (is_int(seed) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 def parse_ensemble_kind(kind: str) -> str:
@@ -312,9 +326,10 @@ def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
     `kind` must already be canonical; `rngs` is a list of generators or a
     `generators` sequence.  Each generator draws its whole matrix before the
     next is advanced (GUE: the real then the imaginary n x n block), and the
-    symmetrization runs on the stack.  Entries that overflow come out as inf
-    or NaN without a numpy warning; a campaign makes them a NonFiniteInput
-    trial error.
+    symmetrization runs on the stack.  The stack is complex128 for gue and
+    float64 for goe and diag, whose matrices are real symmetric.  Entries that
+    overflow come out as inf or NaN without a numpy warning; a campaign makes
+    them a NonFiniteInput trial error.
     """
     if kind == "gue":
         g = _normal_stack(rngs, (2, n, n), scale)
@@ -324,9 +339,9 @@ def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
     if kind == "goe":
         g = _normal_stack(rngs, (n, n), scale)
         with np.errstate(over="ignore", invalid="ignore"):
-            return ((g + g.swapaxes(-1, -2)) / 2.0).astype(np.complex128)
+            return (g + g.swapaxes(-1, -2)) / 2.0
     d = vector_stack(kind, n, scale, rngs)
-    out = np.zeros(d.shape + (n,), dtype=np.complex128)
+    out = np.zeros(d.shape + (n,))
     out[:, np.arange(n), np.arange(n)] = d
     return out
 
@@ -370,10 +385,10 @@ def random_unitary(n: int, seed: int) -> UnitaryMatrix:
 
     QR of a complex Ginibre matrix, with column phases fixed so the
     triangular factor has a positive real diagonal; this makes the
-    distribution exactly Haar rather than merely unitary.
+    distribution exactly Haar rather than merely unitary.  `n` and `seed`
+    follow the rules of `EnsembleSpec`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_size_and_seed(n, seed)
     return UnitaryMatrix(haar_stack(n, _fresh(seed))[0])
 
 

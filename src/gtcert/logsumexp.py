@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import require_tol
+from .checks import is_int, require_tol
 from .errors import NonFiniteInput
 from .hermitian import stacked_spectrum
 
@@ -193,7 +193,7 @@ def complete_graph_laplacian(n: int) -> RealSymmetricMatrix:
     Diagonal n-1, off-diagonal -1; eigenvalue 0 once and n with multiplicity
     n-1.  Entries are exact small integers.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not (is_int(n) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     k = -np.ones((n, n))
     np.fill_diagonal(k, float(n - 1))

@@ -1,9 +1,10 @@
 """Matrix files: {"n": int, "re": n x n, "im": n x n} with "im" optional.
 
-A missing "im" means a real symmetric matrix (zero imaginary parts).  Numbers
-are written with Python's shortest round-trip representation, so save followed
-by load reproduces the entries bit for bit.  Entries must be finite JSON
-numbers, and Hermiticity is enforced on load at tolerance 1e-10.
+A missing "im" means a real symmetric matrix, which loads with float64
+entries; a matrix whose imaginary parts are all zero is saved without "im".
+Numbers are written with Python's shortest round-trip representation, so save
+followed by load reproduces the entries bit for bit.  Entries must be finite
+JSON numbers, and Hermiticity is enforced on load at tolerance 1e-10.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ def _block(doc: dict, key: str, n: int) -> np.ndarray:
 
 
 def loads_matrix(text: str) -> HermitianMatrix:
-    """Parse a matrix document from a JSON string."""
+    """Parse a matrix document from a JSON string.
+
+    Without "im" the entries stay float64, so the checks use the real
+    symmetric eigensolver; with "im" they are complex128.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -48,9 +53,11 @@ def loads_matrix(text: str) -> HermitianMatrix:
     if "re" not in doc:
         raise MatrixParseError("missing field 're'")
     re = _block(doc, "re", n)
-    im = _block(doc, "im", n) if "im" in doc else np.zeros((n, n))
+    if "im" not in doc:
+        return validate_hermitian(re, LOAD_TOL)
+    im = _block(doc, "im", n)
     # before re + 1j * im, where an infinite im entry makes numpy warn
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+    if not np.isfinite(im).all():
         raise NonFiniteInput("matrix contains NaN or infinity")
     return validate_hermitian(re + 1j * im, LOAD_TOL)
 

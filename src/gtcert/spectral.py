@@ -86,9 +86,10 @@ def check_symmetry(
     """Probe permutation invariance of f at x.
 
     All n! permutations when n <= 5, otherwise n_perms draws seeded by `seed`
-    (the sampling is pure), evaluated in one `rows` call.  Records the first
-    largest deviation: slack is minus the largest |f(permuted x) - f(x)|,
-    and a NaN deviation counts as the largest.
+    (the sampling is pure), evaluated in one `rows` call under
+    `checks.quiet_rows`.  Records the first largest deviation: slack is minus
+    the largest |f(permuted x) - f(x)|, and a NaN deviation counts as the
+    largest; a value that overflows is a non-finite result, not a warning.
     """
     arr = _as_vector(x)
     if n_perms < 1:
@@ -99,7 +100,7 @@ def check_symmetry(
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         perms = np.array([rng.permutation(n) for _ in range(n_perms)])
-    reference, values = f(arr), f.rows(arr[perms])
+    reference, values = quiet_rows(lambda: (f(arr), f.rows(arr[perms])))
     dev = _deviation(values, reference)
     worst = int(dev.argmin())
     lhs = float(values[worst]) if dev[worst] < 0 else reference

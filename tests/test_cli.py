@@ -38,23 +38,37 @@ ZERO_2 = {"n": 2, "re": [[0.0, 0.0], [0.0, 0.0]]}
 
 class TestMatrixIO:
     def test_real_document_loads(self, tmp_path):
+        # no "im" block: the entries stay float64 for the real symmetric solver
         path = write(tmp_path / "a.json", {"n": 2, "re": [[1.0, 0.0], [0.0, 2.0]]})
         a = load_matrix(path)
-        np.testing.assert_array_equal(a.entries, np.diag([1.0, 2.0]).astype(complex))
+        assert a.entries.dtype == np.float64
+        np.testing.assert_array_equal(a.entries, np.diag([1.0, 2.0]))
 
     def test_imaginary_block(self):
         a = loads_matrix(json.dumps({
             "n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 1.0], [-1.0, 0.0]]
         }))
+        assert a.entries.dtype == np.complex128
         assert a.entries[0, 1] == 1j and a.entries[1, 0] == -1j
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        for seed, kind in ((1, "gue"), (2, "goe")):
+        for seed, kind in ((1, "gue"), (2, "goe"), (3, "diag")):
             a = random_hermitian(EnsembleSpec(kind, 5, 1.0, seed))
             path = tmp_path / f"{kind}.json"
             save_matrix(a, str(path))
             b = load_matrix(str(path))
-            assert np.array_equal(a.entries, b.entries)
+            assert b.entries.dtype == a.entries.dtype
+            assert np.array_equal(a.entries.view(np.uint64), b.entries.view(np.uint64))
+
+    def test_zero_imaginary_part_reloads_real(self, tmp_path):
+        values = np.array([[-0.0, 1.5], [1.5, 2.0**-1022]])
+        a = HermitianMatrix(values.astype(complex))
+        path = tmp_path / "a.json"
+        save_matrix(a, str(path))
+        assert "im" not in json.loads(path.read_text())
+        b = load_matrix(str(path))
+        assert b.entries.dtype == np.float64
+        assert np.array_equal(b.entries.view(np.uint64), values.view(np.uint64))
 
     def test_im_omitted_for_real_matrices(self):
         a = HermitianMatrix(np.diag([1.0, 2.0]).astype(complex))

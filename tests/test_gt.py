@@ -19,6 +19,7 @@ from gtcert import (
     HermitianMatrix,
     NonFiniteInput,
     NonFiniteResult,
+    UnitaryMatrix,
     builtin,
     check_davis_restriction,
     check_unitary_invariance,
@@ -402,13 +403,16 @@ class TestRunCampaign:
 
     def test_worst_trial_seed_replays(self):
         # over more than one chunk, every kind's worst slack is exactly the
-        # slack of its public single check on the worst trial
-        for kind in CHECK_KINDS:
-            for n in (1, 2, 8):
-                trials = gt_module._chunk_trials(gt_module.CHECKS[kind], n) + 6
-                report = run_campaign(config(kind, n=n, trials=trials, tol=kind_tol(kind)))
-                slack = replay_slack(report.config, report.worst_trial_seed)
-                assert slack == report.worst_slack, (kind, n)
+        # slack of its public single check on the worst trial; goe and diag
+        # trials are solved in float64 in the campaign and in the replay
+        for ensemble in ("gue", "goe", "diag"):
+            for kind in CHECK_KINDS:
+                for n in (1, 2, 8):
+                    trials = gt_module._chunk_trials(gt_module.CHECKS[kind], n) + 6
+                    cfg = config(kind, n=n, trials=trials, tol=kind_tol(kind), kind_ens=ensemble)
+                    report = run_campaign(cfg)
+                    slack = replay_slack(report.config, report.worst_trial_seed)
+                    assert slack == report.worst_slack, (ensemble, kind, n)
 
     def test_report_independent_of_chunk_size(self, monkeypatch):
         for kind in CHECK_KINDS:
@@ -606,3 +610,69 @@ class TestRunCampaign:
         report = run_campaign(config("HESSIAN_FD_MATCH", trials=10, tol=1e-16))
         assert report.violations == 10
         assert report.worst_slack < 0
+
+
+def as_complex(a):
+    return HermitianMatrix(a.entries.astype(np.complex128))
+
+
+PAIR_VALUES = {
+    "gt_weak_check": lambda a, b: astuple(gt_weak_check(a, b)),
+    "gt_strong_check": lambda a, b: astuple(gt_strong_check(a, b)),
+    "convexity_check": lambda a, b: astuple(convexity_check(a, b)),
+    "log_trace_exp_product": lambda a, b: (log_trace_exp_product(a, b),),
+    "midpoint_convexity_residual": lambda a, b: (midpoint_convexity_residual(lift(builtin("lse")), a, b),),
+    "segment_convexity_residual": lambda a, b: (segment_convexity_residual(lift(builtin("max")), a, b, 0.25),),
+}
+
+
+def astuple(r):
+    return r.lhs, r.rhs, r.slack
+
+
+class TestRealAndComplexPairs:
+    """Real symmetric matrices are float64; a complex partner promotes them where they are combined."""
+
+    @pytest.mark.parametrize("check", sorted(PAIR_VALUES))
+    def test_mixed_pair_matches_the_complex_pair(self, check):
+        # numpy casts the real matrix to complex128 in the concatenation, the
+        # sum or the product, so a mixed pair gives the bits of the pair with
+        # the real matrix cast to complex first
+        values = PAIR_VALUES[check]
+        for seed in range(5):
+            a = random_hermitian(EnsembleSpec("goe", 6, 2.0, seed))
+            b = gue(6, seed + 100, 2.0)
+            assert a.entries.dtype == np.float64
+            assert values(a, b) == values(as_complex(a), b), seed
+            assert values(b, a) == values(b, as_complex(a)), seed
+
+    def test_mixed_unitary_invariance(self):
+        f = lift(builtin("lse"))
+        real_u = UnitaryMatrix(np.array([[0.6, 0.8], [-0.8, 0.6]]))
+        for seed in range(5):
+            a, u = random_hermitian(EnsembleSpec("goe", 2, 1.0, seed)), random_unitary(2, seed)
+            assert astuple(check_unitary_invariance(f, a, u, 1e-10)) == astuple(
+                check_unitary_invariance(f, as_complex(a), u, 1e-10))
+            c = gue(2, seed)
+            assert astuple(check_unitary_invariance(f, c, real_u, 1e-10)) == astuple(
+                check_unitary_invariance(f, c, UnitaryMatrix(real_u.entries.astype(complex)), 1e-10))
+
+    @pytest.mark.parametrize("kind", ["goe", "diag"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_real_solver_agrees_with_the_complex_one(self, kind, n):
+        # The real and the complex Hermitian solvers are both backward stable:
+        # each eigenvalue of M is off by about n * u * |M|_2 at most (observed
+        # below 1.3 units), and lse is 1-Lipschitz in the max-norm.  A slack
+        # sums three spectra of norm up to 2 max(|A|_2, |B|_2), so it may take
+        # 4 units, and c = 8 leaves a factor of 2.  The strong bound also uses
+        # the eigenvectors; its error is held to the same budget, which it
+        # meets with the rest (at most 2.3 units over goe/diag draws, n <= 64).
+        c, u = 8.0, np.finfo(float).eps / 2
+        for scale in (1e-3, 1.0, 1000.0):
+            for seed in range(6):
+                a, b = (random_hermitian(EnsembleSpec(kind, n, scale, 2 * seed + i)) for i in (0, 1))
+                norm = max(1.0, np.linalg.norm(a.entries, 2), np.linalg.norm(b.entries, 2))
+                for check, values in PAIR_VALUES.items():
+                    real, cast = values(a, b), values(as_complex(a), as_complex(b))
+                    for x, y in zip(real, cast):
+                        assert abs(x - y) <= c * n * u * norm, (check, scale, seed, x, y)

@@ -100,6 +100,30 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError):
             a.entries[0, 0] = 9.0
 
+    @pytest.mark.parametrize("entries, dtype", [
+        ([[True, False], [False, True]], np.float64),
+        ([[0, 1], [1, 0]], np.float64),
+        (np.eye(2, dtype=np.uint8), np.float64),
+        (np.eye(2, dtype=np.float32), np.float64),
+        (np.eye(2), np.float64),
+        (np.eye(2, dtype=np.complex64), np.complex128),
+        ([[0.0, 1j], [-1j, 0.0]], np.complex128),
+        (np.eye(2, dtype=complex), np.complex128),
+    ])
+    def test_real_input_stays_real(self, entries, dtype):
+        # a real symmetric matrix keeps float64 entries, so numpy's eigvalsh
+        # and eigh take the real symmetric solver; any other input is complex128
+        # (every case is Hermitian and unitary, so all three types accept it)
+        for matrix in (HermitianMatrix(entries), validate_hermitian(entries, 1e-10), UnitaryMatrix(entries)):
+            assert matrix.entries.dtype == dtype
+            np.testing.assert_array_equal(matrix.entries, np.asarray(entries))
+
+    def test_entries_are_a_copy(self):
+        source = np.eye(3)
+        a = HermitianMatrix(source)
+        source[0, 0] = 5.0
+        assert a.entries[0, 0] == 1.0 and source.flags.writeable
+
 
 class TestUnitaryMatrix:
     def test_identity_accepted(self):
@@ -129,6 +153,13 @@ class TestEnsembles:
     def test_goe_has_zero_imaginary_parts(self):
         h = random_hermitian(EnsembleSpec("goe", 16, 1.0, 7))
         assert np.all(h.entries.imag == 0.0)
+
+    @pytest.mark.parametrize("kind, dtype", [("gue", np.complex128), ("goe", np.float64), ("diag", np.float64)])
+    def test_entry_dtype(self, kind, dtype):
+        # goe and diag matrices are real symmetric and are drawn as float64
+        assert random_hermitian(EnsembleSpec(kind, 4, 1.0, 3)).entries.dtype == dtype
+        rngs = generators(seed_words([1, 2, 3]))
+        assert hermitian_stack(kind, 4, 1.0, rngs).dtype == dtype
 
     def test_diagonal_uniform_support(self):
         h = random_hermitian(EnsembleSpec("diag", 32, 0.5, 3))
@@ -232,6 +263,19 @@ class TestRandomUnitary:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             random_unitary(0, 1)
+
+    @pytest.mark.parametrize("n, seed", [
+        (2, 2**64),  # was drawn from PCG64(2**64), a seed no campaign can hold
+        (2, -1),
+        (2, True),  # bools are ints to Python; EnsembleSpec rejects them
+        (True, 0),  # died with numpy's TypeError "an integer is required"
+        (2.0, 0),
+    ])
+    def test_size_and_seed_follow_ensemble_spec(self, n, seed):
+        with pytest.raises(ValueError):
+            random_unitary(n, seed)
+        with pytest.raises(ValueError):
+            EnsembleSpec("gue", n, 1.0, seed)
 
 
 def previous_draws(kind, n, scale, seed):

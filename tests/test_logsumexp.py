@@ -243,6 +243,12 @@ class TestCompleteGraphLaplacian:
         with pytest.raises(ValueError):
             complete_graph_laplacian(0)
 
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_size_must_be_an_int(self, n):
+        # True passed isinstance(n, int) and failed in numpy with a TypeError
+        with pytest.raises(ValueError):
+            complete_graph_laplacian(n)
+
 
 class TestDkdProduct:
     def test_uniform_weights_reproduce_hessian(self):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from gtcert import (
+    CampaignTrialError,
     DimensionMismatch,
     EnsembleSpec,
     HermitianMatrix,
     NonFiniteInput,
+    NonFiniteResult,
     SymmetricScalarFunction,
     UnitaryMatrix,
     builtin,
@@ -117,6 +119,16 @@ class TestCheckSymmetry:
     def test_bad_n_perms(self):
         with pytest.raises(ValueError):
             check_symmetry(builtin("lse"), [1.0, 2.0], n_perms=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_an_error_without_a_warning(self):
+        # the sum 2e308 overflows: numpy's "overflow encountered in reduce"
+        # was printed before the error, as check_davis_restriction never did
+        for check in (lambda x: check_symmetry(builtin("sum"), x),
+                      lambda x: check_davis_restriction(builtin("sum"), x, 1e-10)):
+            with pytest.raises(CampaignTrialError) as info:
+                check([1e308, 1e308])
+            assert isinstance(info.value.cause, NonFiniteResult)
 
 
 class TestUnitaryInvariance:
