@@ -64,26 +64,33 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 # float64 entries (512 KiB) a chunk may hold while it is sampled and
 # evaluated; a chunk of a check kind holds `_CHUNK_ENTRIES // entries(n)`
-# trials, at least one.  Swept on a shared 2-vCPU x86-64 box: the matrix kinds
-# keep 4096 // n^2 trials (64 at n = 8, one from n = 46 on, so an n = 64
-# campaign holds no more memory than a single check), because 256-trial chunks
-# at n = 8 and 12-trial chunks at n = 64 ran 5% and 11% slower.  At n = 16,
-# HESSIAN_PSD chunks of 85 trials took about 16.7 us per trial against 19.3 at
-# 16, DAVIS_RESTRICTION chunks of 128 about 6.2 us against 8.9, and
-# HESSIAN_FD_MATCH chunks of 7 about 116 us, 110 at 16 and 157 at 32.
+# trials, at least one and at most `_SEED_BLOCK`.  Swept on a shared 2-vCPU
+# x86-64 box: the matrix kinds keep 4096 // n^2 trials (64 at n = 8, one from
+# n = 46 on, so an n = 64 campaign holds no more memory than a single check),
+# because 256-trial chunks at n = 8 and 12-trial chunks at n = 64 ran 5% and
+# 11% slower.  At n = 16, HESSIAN_PSD chunks of 85 trials took about 16.7 us
+# per trial against 19.3 at 16, and HESSIAN_FD_MATCH chunks of 7 about 116 us,
+# 110 at 16 and 157 at 32.  DAVIS_RESTRICTION's cost per trial does not grow
+# with the chunk, while each chunk costs about as much as a dozen trials at
+# n = 16, so it counts a quarter of the entries it holds (512 trials, 2 MiB, at
+# n = 16).  In blocks of calls alternating with the former 4x smaller chunks,
+# 280 trials at n = 16 ran 9-11% faster in one chunk, 2000 trials 6-7% faster
+# in chunks of 512, and 280 at n = 32 and 100 at n = 64 7-9% faster.
 _CHUNK_ENTRIES = 65536
 
 
-# Trial seeds and seed words are derived for at least this many trials at a
-# time: on a shared 2-vCPU x86-64 box with numpy 2.4, `seed_words` costs about
-# 70 us per call whatever the number of seeds (about 60 array operations),
-# plus about 0.05 us per seed up to 2048 seeds, so a chunk of 16 trials would
-# not amortize it, while a bounded block keeps a long campaign's memory flat.
+# Trial seeds and seed words are derived for a block of whole chunks at a
+# time, more than half of this many trials and at most this many, which is
+# also the most trials a chunk holds: on a shared 2-vCPU x86-64 box with
+# numpy 2.4, `seed_words` costs about 70 us per call whatever the number of
+# seeds (about 60 array operations), plus about 0.05 us per seed up to 2048
+# seeds, so a chunk of 16 trials would not amortize it, while a bounded block
+# keeps a long campaign's memory flat.
 _SEED_BLOCK = 1024
 
 
 def _chunk_trials(check: "CheckKind", n: int) -> int:
-    return max(1, _CHUNK_ENTRIES // check.entries(n))
+    return min(_SEED_BLOCK, max(1, _CHUNK_ENTRIES // check.entries(n)))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -226,8 +233,9 @@ def _hessian_entries(n: int) -> int:
 
 
 def _diagonal_entries(n: int) -> int:
-    # the real diagonal matrix and the solver's copy
-    return 2 * n * n
+    # a quarter of the 2 n^2 that the real diagonal matrix and the solver's
+    # copy hold, since a larger chunk costs no more per trial; at least 1
+    return max(1, n * n // 2)
 
 
 def _stencil_entries(n: int) -> int:
@@ -246,8 +254,9 @@ class CheckKind:
     entry per trial; `f` is the campaign's built-in function, used by the
     kinds that lift one.  An evaluator may concatenate stacks of T trials
     before a solver call, so an Error's `row` names trial `row % T`.
-    `entries(n)` is about how many float64 entries one trial holds while its
-    chunk is sampled and evaluated; it sets the chunk size.
+    `entries(n)`, a positive int, sets the chunk size: about how many float64
+    entries one trial holds while its chunk is sampled and evaluated, or
+    fewer for a kind whose cost per trial does not grow with the chunk.
     """
 
     streams: tuple
@@ -338,10 +347,10 @@ def _chunks(master: int, trials: int, chunk: int, streams: int) -> Iterator[tupl
 
     The words are a (streams, trials in the chunk, 4) array: row i of stream
     k is `seed_words` of `derive_seed(trial_seed_i, k)`.  Seeds and words are
-    derived a block of whole chunks, at least `_SEED_BLOCK` trials, at a
+    derived a block of whole chunks, at most `_SEED_BLOCK` trials, at a
     time, every stream of the block in one `seed_words` call.
     """
-    block = chunk * max(1, _SEED_BLOCK // chunk)
+    block = chunk * (_SEED_BLOCK // chunk)
     for first in range(0, trials, block):
         seeds = derive_seeds(master, np.arange(first, min(first + block, trials)))
         stream_seeds = derive_seeds(seeds, np.arange(streams)[:, None])

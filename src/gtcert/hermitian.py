@@ -40,13 +40,18 @@ _ENSEMBLE_KINDS = ("gue", "goe", "diag")
 
 
 def _as_square(entries, err: str) -> np.ndarray:
-    """A new float64 array for bool, integer or real entries, complex128 for any other.
+    """A new float64 array for bool, integer or real entries, complex128 for complex ones.
 
     numpy's eigh and eigvalsh pick their LAPACK routine by dtype, so a real
     symmetric matrix that stays float64 goes to the real symmetric solver.
+    Entries must be numbers, as in matrix files: str, bytes and object
+    arrays raise TypeError, where numpy would parse "2" as 2.  Unlike matrix
+    files, which refuse `true`, bool entries are taken as 0.0 and 1.0.
     """
     arr = np.array(entries)
-    arr = arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128, copy=False)
+    if arr.dtype.kind not in "biufc":
+        raise TypeError(f"{err}: entries must be numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NotSquareError(f"{err}: shape {arr.shape}")
     return arr
@@ -60,8 +65,9 @@ class HermitianMatrix:
     `validate_hermitian` instead.  The type holds validated entries and does
     no arithmetic: checks combine the `entries` of stacked matrices directly.
     `entries` is float64 when the input has a bool, integer or real dtype (a
-    real symmetric matrix) and complex128 otherwise; a check on a real and a
-    complex matrix promotes the real one where it combines them.
+    real symmetric matrix) and complex128 when it is complex; str, bytes and
+    object entries raise TypeError.  A check on a real and a complex matrix
+    promotes the real one where it combines them.
     """
 
     __slots__ = ("_entries",)
@@ -156,13 +162,15 @@ def parse_ensemble_kind(kind: str) -> str:
 
 
 def validate_hermitian(entries, tol: float) -> HermitianMatrix:
-    """Accept a near-Hermitian array and return its symmetrization M/2 + M*/2.
+    """Accept a near-Hermitian array and return it exactly conjugate-symmetric.
 
-    Accepts iff max |M - M*| <= tol * max(1, max |M|).  The returned matrix is
-    exactly conjugate-symmetric with a real diagonal; halving before adding
+    Accepts iff max |M - M*| <= tol * max(1, max |M|).  M comes back with its
+    bits unchanged when max |M - M*| is 0, so an exactly Hermitian matrix
+    keeps its subnormals and signed zeros; otherwise the result is the
+    symmetrization M/2 + M*/2, whose diagonal is real.  Halving before adding
     keeps entries near the double-precision limit finite, and outside the
     subnormal range gives the same bits as (M + M*)/2.  Raises NotSquareError,
-    NonFiniteInput or HermiticityViolation.
+    NonFiniteInput, HermiticityViolation, or TypeError for non-numeric entries.
     """
     require_tol(tol)
     arr = _as_square(entries, "validate_hermitian")
@@ -174,6 +182,8 @@ def validate_hermitian(entries, tol: float) -> HermitianMatrix:
         raise HermiticityViolation(
             f"max |M - M*| = {residual:.3e} exceeds {bound:.3e} (tol={tol:g})"
         )
+    if residual == 0:
+        return HermitianMatrix(arr)
     half = 0.5 * arr
     return HermitianMatrix(half + half.conj().T)
 

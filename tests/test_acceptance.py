@@ -20,6 +20,7 @@ from gtcert import (
     check_unitary_invariance,
     complete_graph_laplacian,
     convexity_check,
+    derive_seed,
     dkd_product,
     gt_weak_check,
     hessian_fd,
@@ -34,6 +35,9 @@ from gtcert import (
     softmax,
 )
 from gtcert.cli import main
+from gtcert.gt import derive_seeds
+from gtcert.hermitian import generators, seed_words, stacked_spectrum, vector_stack
+from gtcert.logsumexp import hessian_rows
 
 
 @pytest.fixture
@@ -122,15 +126,31 @@ def test_hessian_analytic_matches_stencil_and_identity(certify):
 
 def test_hessian_and_laplacian_psd_certificates(certify):
     """Every sampled Hessian certifies PSD with a one-dimensional nullspace,
-    as does the complete-graph Laplacian for n up to 64."""
+    as does the complete-graph Laplacian for n up to 64.
+
+    Trial i at size n draws its own vector, seeded by derive_seed(4000 + n, i).
+    The 10^4 Hessians of a size are certified in one stacked solver call, each
+    by psd_certify's rule (pass iff w_min >= -tol, nullspace = #{|w| <= tol},
+    tol = 1e-10 * max(1, max |entry|)); every 100th trial also goes through the
+    public random_vector -> lse_hessian_analytic -> psd_certify path, whose
+    minimum eigenvalue must equal the stacked row's bit for bit."""
+    trials = 10_000
     bad_hessian = 0
     for n in range(2, 17):
-        spec = EnsembleSpec("diag", n, 10.0, 4000 + n)
-        for _ in range(10_000):
-            x = random_vector(spec)
-            cert = psd_certify(lse_hessian_analytic(x))
-            if not (cert.passed and cert.nullspace_dim == 1):
-                bad_hessian += 1
+        seeds = derive_seeds(4000 + n, np.arange(trials))
+        x = vector_stack("diag", n, 10.0, generators(seed_words(seeds)))
+        assert len(np.unique(x, axis=0)) == trials
+        h = hessian_rows(x)
+        w = stacked_spectrum(h)
+        tol = 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+        nullspace_dim = np.count_nonzero(np.abs(w) <= tol[:, None], axis=1)
+        bad_hessian += int(np.count_nonzero((w[:, 0] < -tol) | (nullspace_dim != 1)))
+        for i in range(0, trials, 100):
+            xi = random_vector(EnsembleSpec("diag", n, 10.0, derive_seed(4000 + n, i)))
+            cert = psd_certify(lse_hessian_analytic(xi))
+            assert xi.tobytes() == x[i].tobytes(), (n, i)
+            assert np.float64(cert.min_eigenvalue).tobytes() == w[i, 0].tobytes(), (n, i)
+            assert (cert.passed, cert.nullspace_dim) == (w[i, 0] >= -tol[i], nullspace_dim[i]), (n, i)
     bad_laplacian = 0
     for n in range(2, 65):
         cert = psd_certify(complete_graph_laplacian(n), tol=1e-12)
@@ -189,28 +209,36 @@ def test_lift_invariance_and_restriction(certify):
     inv_failures = 0
     seed = 6000
     for n in (2, 4, 8):
+        inputs = set()
         for _ in range(1000):
             seed += 1
             a = random_hermitian(EnsembleSpec("gue", n, 1.0, seed))
             u = random_unitary(n, seed + 500_000)
+            inputs.add(a.entries.tobytes() + u.entries.tobytes())
             for func in lifted:
                 if not check_unitary_invariance(func, a, u, 1e-10).passed:
                     inv_failures += 1
+        assert len(inputs) == 1000, n
     restrict_failures = 0
     for n in (2, 4, 8):
-        spec = EnsembleSpec("diag", n, 10.0, 7000 + n)
-        for _ in range(1000):
-            x = random_vector(spec)
+        inputs = set()
+        for i in range(1000):
+            x = random_vector(EnsembleSpec("diag", n, 10.0, derive_seed(7000 + n, i)))
+            inputs.add(x.tobytes())
             for f in fns:
                 if not check_davis_restriction(f, x, 1e-12).passed:
                     restrict_failures += 1
+        assert len(inputs) == 1000, n
     f_min = lift(builtin("min"))
     control_hits = 0
+    inputs = set()
     for i in range(1000):
         a = random_hermitian(EnsembleSpec("gue", 4, 1.0, 8000 + 2 * i))
         b = random_hermitian(EnsembleSpec("gue", 4, 1.0, 8001 + 2 * i))
+        inputs.add(a.entries.tobytes() + b.entries.tobytes())
         if midpoint_convexity_residual(f_min, a, b) < -1e-8:
             control_hits += 1
+    assert len(inputs) == 1000
     certify(
         "unitary invariance + diagonal restriction + concave control",
         inv_failures == 0 and restrict_failures == 0 and control_hits >= 1,

@@ -60,6 +60,28 @@ class TestMatrixIO:
             assert b.entries.dtype == a.entries.dtype
             assert np.array_equal(a.entries.view(np.uint64), b.entries.view(np.uint64))
 
+    # exactly Hermitian entries at the edges of float64: the smallest
+    # subnormal (which M/2 + M*/2 rounded to 0), a larger subnormal, +-1e308
+    # and signed zeros, on and off the diagonal
+    EDGE_RE = [[5e-324, -0.0, 1e308], [-0.0, -1e308, 2.0**-1070], [1e308, 2.0**-1070, -0.0]]
+    EDGE_IM = [[-0.0, 5e-324, -1e308], [-5e-324, 0.0, -0.0], [1e308, 0.0, -0.0]]
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_edge_values_round_trip_bit_exact(self, complex_entries, tmp_path):
+        doc = {"n": 3, "re": self.EDGE_RE}
+        values = np.array(self.EDGE_RE)
+        if complex_entries:
+            doc["im"] = self.EDGE_IM
+            values = values.astype(complex)
+            values.imag = self.EDGE_IM
+        loaded = loads_matrix(json.dumps(doc))
+        assert loaded.entries.dtype == values.dtype
+        assert loaded.entries.tobytes() == values.tobytes()
+        path = tmp_path / "a.json"
+        save_matrix(HermitianMatrix(values), str(path))
+        assert json.loads(path.read_text()) == doc
+        assert load_matrix(str(path)).entries.tobytes() == values.tobytes()
+
     def test_zero_imaginary_part_reloads_real(self, tmp_path):
         values = np.array([[-0.0, 1.5], [1.5, 2.0**-1022]])
         a = HermitianMatrix(values.astype(complex))

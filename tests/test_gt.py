@@ -415,14 +415,25 @@ class TestRunCampaign:
                     assert slack == report.worst_slack, (ensemble, kind, n)
 
     def test_report_independent_of_chunk_size(self, monkeypatch):
-        for kind in CHECK_KINDS:
-            trials = gt_module._chunk_trials(gt_module.CHECKS[kind], 3) + 6
-            cfg = config(kind, n=3, trials=trials, tol=kind_tol(kind))
+        # every kind at n=3, then DAVIS_RESTRICTION, whose chunks hold the
+        # most trials, at n=1 (where its entries rule must not reach 0) and 16
+        cases = [(kind, 3) for kind in CHECK_KINDS] + [("DAVIS_RESTRICTION", 1), ("DAVIS_RESTRICTION", 16)]
+        for kind, n in cases:
+            trials = gt_module._chunk_trials(gt_module.CHECKS[kind], n) + 6
+            cfg = config(kind, n=n, trials=trials, tol=kind_tol(kind))
             chunked = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
             monkeypatch.setattr(gt_module, "_CHUNK_ENTRIES", 1)
             one_by_one = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
             monkeypatch.undo()
-            assert chunked == one_by_one, kind
+            assert chunked == one_by_one, (kind, n)
+
+    def test_chunk_sizes(self):
+        # positive and capped at the seed block for every kind and size;
+        # DAVIS_RESTRICTION runs up to 512 trials at n=16 in one chunk
+        for check in gt_module.CHECKS.values():
+            for n in (1, 2, 3, 8, 16, 64, 200):
+                assert 1 <= gt_module._chunk_trials(check, n) <= gt_module._SEED_BLOCK
+        assert gt_module._chunk_trials(gt_module.CHECKS["DAVIS_RESTRICTION"], 16) == 512
 
     def test_non_finite_result_is_a_trial_error(self):
         # pnorm:1e6 overflows to inf on both sides of the restriction, so the

@@ -88,6 +88,15 @@ class TestValidateHermitian:
         h = validate_hermitian([[3.0]], 0.0)
         assert h.n == 1 and h.entries[0, 0] == 3.0
 
+    @pytest.mark.parametrize("entries", [
+        [[5e-324]],                                      # M/2 + M*/2 gave 0.0
+        [[-0.0, 5e-324], [5e-324, 2.0**-1070]],
+        [[1.0, complex(-0.0, 5e-324)], [complex(-0.0, -5e-324), complex(-0.0, -0.0)]],
+    ])
+    def test_exactly_hermitian_input_is_returned_unchanged(self, entries):
+        expected = np.array(entries)
+        assert validate_hermitian(entries, 1e-10).entries.tobytes() == expected.tobytes()
+
 
 class TestHermitianMatrix:
     def test_exact_constructor_rejects_noise(self):
@@ -117,6 +126,20 @@ class TestHermitianMatrix:
         for matrix in (HermitianMatrix(entries), validate_hermitian(entries, 1e-10), UnitaryMatrix(entries)):
             assert matrix.entries.dtype == dtype
             np.testing.assert_array_equal(matrix.entries, np.asarray(entries))
+
+    @pytest.mark.parametrize("entries", [
+        [["2"]],                                         # numpy parsed it as 2+0j
+        np.array([[b"1", b"0"], [b"0", b"1"]]),
+        [["1.5", 0.0], [0.0, 1.0]],
+        np.array([[1.0]], dtype=object),
+        [[2**70]],                                       # an object array in numpy
+    ])
+    def test_non_numeric_entries_rejected(self, entries):
+        # matrix files accept JSON numbers only; the constructors take numbers
+        # only too (bools included, as 0.0 and 1.0, which files refuse)
+        for build in (HermitianMatrix, UnitaryMatrix, lambda m: validate_hermitian(m, 1e-10)):
+            with pytest.raises(TypeError):
+                build(entries)
 
     def test_entries_are_a_copy(self):
         source = np.eye(3)
