@@ -44,7 +44,6 @@ from .hermitian import (
 )
 from .logsumexp import (
     PsdCertificate,
-    RealSymmetricMatrix,
     SoftmaxWeights,
     complete_graph_laplacian,
     dkd_product,

@@ -17,6 +17,21 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def as_numbers(values, err: str, complex_ok: bool) -> np.ndarray:
+    """A new float64 array of `values`, or complex128 for complex ones where `complex_ok`.
+
+    The one entry rule for public vectors and matrices: bool (as 0.0 and 1.0),
+    integer, real and, where allowed, complex entries.  str, bytes, object and
+    disallowed complex arrays raise TypeError, where numpy would read "2" as
+    2.0, None as NaN and drop imaginary parts.
+    """
+    arr = np.array(values)
+    kind = arr.dtype.kind
+    if kind not in ("biufc" if complex_ok else "biuf"):
+        raise TypeError(f"{err}: entries must be {'' if complex_ok else 'real '}numbers, got dtype {arr.dtype}")
+    return arr.astype(np.complex128 if kind == "c" else np.float64, copy=False)
+
+
 def require_tol(tol) -> None:
     """Raise ValueError unless `tol` is a finite real >= 0, the rule for every tolerance."""
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):

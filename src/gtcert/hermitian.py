@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .checks import is_int, require_tol
+from .checks import as_numbers, is_int, require_tol
 from .errors import (
     ConvergenceFailure,
     HermiticityViolation,
@@ -44,14 +44,9 @@ def _as_square(entries, err: str) -> np.ndarray:
 
     numpy's eigh and eigvalsh pick their LAPACK routine by dtype, so a real
     symmetric matrix that stays float64 goes to the real symmetric solver.
-    Entries must be numbers, as in matrix files: str, bytes and object
-    arrays raise TypeError, where numpy would parse "2" as 2.  Unlike matrix
-    files, which refuse `true`, bool entries are taken as 0.0 and 1.0.
+    Entries follow `checks.as_numbers`, which takes bools, unlike matrix files.
     """
-    arr = np.array(entries)
-    if arr.dtype.kind not in "biufc":
-        raise TypeError(f"{err}: entries must be numbers, got dtype {arr.dtype}")
-    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
+    arr = as_numbers(entries, err, complex_ok=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NotSquareError(f"{err}: shape {arr.shape}")
     return arr

@@ -14,25 +14,30 @@ the Hessian, but its diagonal is (n-1) p_i^2 instead of p_i (1 - p_i); the two
 coincide only when the weights are uniform.  The CLI command `erratum-dkd`
 demonstrates the discrepancy on request.
 
+The Hessians and Laplacians are float64 `HermitianMatrix` values, and vectors
+enter by the constructors' numbers-only rule (`checks.as_numbers`), reals only.
+
 Everything is evaluated in max-shifted form, so no intermediate exponential
 overflows for any finite input.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import is_int, require_tol
+from .checks import as_numbers, is_int, require_tol
 from .errors import NonFiniteInput
-from .hermitian import stacked_spectrum
+from .hermitian import HermitianMatrix, stacked_spectrum
 
 SUM_TOL = 1e-14  # softmax weights must sum to 1 this tightly
 
 
 def _as_vector(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    arr = as_numbers(x, "vector", complex_ok=False)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -55,33 +60,12 @@ class SoftmaxWeights:
             )
         if abs(float(arr.sum()) - 1.0) > SUM_TOL:
             raise ValueError(f"weights sum to {arr.sum()!r}, not 1 within {SUM_TOL}")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        arr.setflags(write=False)  # a new array: _as_vector copies
         object.__setattr__(self, "p", arr)
 
     @property
     def n(self) -> int:
         return self.p.shape[0]
-
-
-@dataclass(frozen=True)
-class RealSymmetricMatrix:
-    """Real matrix with entries[i][j] == entries[j][i] exactly."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("entries are not exactly symmetric")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,12 +120,12 @@ def hessian_rows(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def lse_hessian_analytic(x) -> RealSymmetricMatrix:
+def lse_hessian_analytic(x) -> HermitianMatrix:
     """Hessian of lse at x, in max-shifted form (see `hessian_rows`).
 
     For n = 1 this is the 1 x 1 zero matrix.
     """
-    return RealSymmetricMatrix(hessian_rows(_as_vector(x)[None])[0])
+    return HermitianMatrix(hessian_rows(_as_vector(x)[None])[0])
 
 
 # perturbation signs of the four stencil points (s_i, s_j), in formula order
@@ -168,7 +152,7 @@ def hessian_fd_rows(x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return out
 
 
-def hessian_fd(x, h: float = 1e-4) -> RealSymmetricMatrix:
+def hessian_fd(x, h: float = 1e-4) -> HermitianMatrix:
     """Central finite-difference Hessian of lse, independent of the analytic form.
 
     Entry (i, j) is
@@ -182,12 +166,12 @@ def hessian_fd(x, h: float = 1e-4) -> RealSymmetricMatrix:
     default step.
     """
     arr = _as_vector(x)
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be finite and positive, got {h!r}")
-    return RealSymmetricMatrix(hessian_fd_rows(arr[None], h)[0])
+    if not (isinstance(h, numbers.Real) and not isinstance(h, bool) and math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be a finite real > 0, got {h!r}")
+    return HermitianMatrix(hessian_fd_rows(arr[None], h)[0])
 
 
-def complete_graph_laplacian(n: int) -> RealSymmetricMatrix:
+def complete_graph_laplacian(n: int) -> HermitianMatrix:
     """Laplacian of the complete graph on n vertices: n I - J.
 
     Diagonal n-1, off-diagonal -1; eigenvalue 0 once and n with multiplicity
@@ -197,10 +181,10 @@ def complete_graph_laplacian(n: int) -> RealSymmetricMatrix:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     k = -np.ones((n, n))
     np.fill_diagonal(k, float(n - 1))
-    return RealSymmetricMatrix(k)
+    return HermitianMatrix(k)
 
 
-def dkd_product(x) -> RealSymmetricMatrix:
+def dkd_product(x) -> HermitianMatrix:
     """D K D with D = diag(softmax(x)) and K the complete-graph Laplacian.
 
     Off-diagonal -p_i p_j matches the lse Hessian; the diagonal (n-1) p_i^2
@@ -208,11 +192,11 @@ def dkd_product(x) -> RealSymmetricMatrix:
     """
     p = softmax(x).p
     k = complete_graph_laplacian(p.shape[0]).entries
-    return RealSymmetricMatrix(p[:, None] * k * p[None, :])
+    return HermitianMatrix(p[:, None] * k * p[None, :])
 
 
-def psd_certify(m: RealSymmetricMatrix, tol: float | None = None) -> PsdCertificate:
-    """Certify positive semidefiniteness by the spectrum.
+def psd_certify(m: HermitianMatrix, tol: float | None = None) -> PsdCertificate:
+    """Certify that a HermitianMatrix is positive semidefinite by its spectrum.
 
     Passes iff the minimum eigenvalue is >= -tol; nullspace_dim counts
     eigenvalues with |w| <= tol.  Default tol is 1e-10 * max(1, max |entry|).

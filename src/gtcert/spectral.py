@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import CheckResult, first_result, quiet_rows
+from .checks import CheckResult, first_result, is_int, quiet_rows
 from .errors import (
     DimensionMismatch,
     HermiticityViolation,
@@ -30,6 +30,7 @@ from .errors import (
 from .hermitian import (
     HermitianMatrix,
     UnitaryMatrix,
+    _require_size_and_seed,
     conj_t,
     stacked_spectrum,
     unitarity_rows,
@@ -86,15 +87,16 @@ def check_symmetry(
     """Probe permutation invariance of f at x.
 
     All n! permutations when n <= 5, otherwise n_perms draws seeded by `seed`
-    (the sampling is pure), evaluated in one `rows` call under
-    `checks.quiet_rows`.  Records the first largest deviation: slack is minus
-    the largest |f(permuted x) - f(x)|, and a NaN deviation counts as the
+    (pure; `seed` follows `EnsembleSpec`'s rule), evaluated in one `rows` call
+    under `checks.quiet_rows`.  Records the first largest deviation: slack is
+    minus the largest |f(permuted x) - f(x)|, and a NaN deviation counts as the
     largest; a value that overflows is a non-finite result, not a warning.
     """
     arr = _as_vector(x)
-    if n_perms < 1:
-        raise ValueError(f"n_perms must be >= 1, got {n_perms}")
     n = arr.shape[0]
+    _require_size_and_seed(n, seed)
+    if not (is_int(n_perms) and n_perms >= 1):
+        raise ValueError(f"n_perms must be an integer >= 1, got {n_perms!r}")
     if n <= 5:
         perms = np.array(list(itertools.permutations(range(n))))
     else:

@@ -9,10 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from gtcert import (
     ConvergenceFailure,
+    HermitianMatrix,
+    HermiticityViolation,
     NonFiniteInput,
     NonFiniteResult,
-    RealSymmetricMatrix,
     SoftmaxWeights,
+    builtin,
+    check_davis_restriction,
+    check_symmetry,
     complete_graph_laplacian,
     dkd_product,
     hessian_fd,
@@ -21,7 +25,7 @@ from gtcert import (
     psd_certify,
     softmax,
 )
-from gtcert.logsumexp import hessian_fd_rows
+from gtcert.logsumexp import hessian_fd_rows, hessian_rows
 
 LOG_3 = 1.0986122886681098
 
@@ -116,15 +120,72 @@ class TestSoftmax:
             SoftmaxWeights(np.array([1.5, -0.5]))
 
 
-class TestRealSymmetricMatrix:
+class TestBuilderMatrices:
+    """The Hessians and Laplacians are HermitianMatrix values with float64 entries."""
+
     def test_exact_symmetry_required(self):
-        with pytest.raises(ValueError):
-            RealSymmetricMatrix(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))
+        with pytest.raises(HermiticityViolation):
+            HermitianMatrix(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))
 
     def test_read_only(self):
         m = complete_graph_laplacian(3)
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    def test_entries_are_the_rows_they_wrap(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 16):
+            x = rng.uniform(-10.0, 10.0, n)
+            p = softmax(x).p
+            k = n * np.eye(n) - np.ones((n, n))
+            for m, expected in (
+                (lse_hessian_analytic(x), hessian_rows(x[None])[0]),
+                (hessian_fd(x), hessian_fd_rows(x[None])[0]),
+                (complete_graph_laplacian(n), k),
+                (dkd_product(x), p[:, None] * k * p[None, :]),
+            ):
+                assert isinstance(m, HermitianMatrix) and m.entries.dtype == np.float64
+                assert m.entries.tobytes() == expected.tobytes()
+
+
+STRING_VECTOR_CALLS = {
+    "lse": lambda: lse(["2", "3"]),
+    "softmax": lambda: softmax(["1", "2"]),
+    "lse_hessian_analytic": lambda: lse_hessian_analytic(["1", "2"]),
+    "hessian_fd": lambda: hessian_fd(["1", "2"]),
+    "dkd_product": lambda: dkd_product(["1", "2"]),
+    "check_davis_restriction": lambda: check_davis_restriction(builtin("lse"), ["1", "2"], 1e-10),
+    "check_symmetry": lambda: check_symmetry(builtin("lse"), ["1", "2"]),
+    "builtin_max": lambda: builtin("max")(["3", "1"]),
+}
+
+
+class TestVectorEntryRule:
+    """Vectors enter by the constructors' numbers-only rule (checks.as_numbers)."""
+
+    @pytest.mark.parametrize("call", STRING_VECTOR_CALLS.values(), ids=STRING_VECTOR_CALLS.keys())
+    def test_numeric_strings_rejected(self, call):
+        # numpy parsed "2" as 2.0: lse(["2", "3"]) returned 3.3133
+        with pytest.raises(TypeError):
+            call()
+
+    def test_none_rejected(self):
+        # None became NaN and was reported as NonFiniteInput
+        with pytest.raises(TypeError):
+            lse([None, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_rejected_without_a_warning(self):
+        # numpy warned (ComplexWarning) and dropped the imaginary parts: 2.3133
+        with pytest.raises(TypeError):
+            lse(np.array([1 + 0j, 2]))
+
+    def test_bools_read_as_zero_and_one(self):
+        assert lse([True, False]) == lse([1.0, 0.0])
+        np.testing.assert_array_equal(lse_hessian_analytic([True, False]).entries,
+                                      lse_hessian_analytic([1.0, 0.0]).entries)
+        cert = psd_certify(HermitianMatrix([[True, False], [False, False]]))
+        assert cert.passed and cert.min_eigenvalue == 0.0 and cert.nullspace_dim == 1
 
 
 class TestHessianAnalytic:
@@ -223,8 +284,10 @@ class TestHessianFiniteDifference:
         assert abs(hessian_fd([4.0]).entries[0, 0]) <= 1e-7
 
     def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            hessian_fd([1.0, 2.0], h=0.0)
+        # h=True differentiated with step 1.0; h="1e-4" raised numpy's TypeError
+        for h in (0.0, -1e-4, math.inf, math.nan, True, np.True_, "1e-4", None):
+            with pytest.raises(ValueError):
+                hessian_fd([1.0, 2.0], h=h)
 
 
 class TestCompleteGraphLaplacian:
@@ -325,7 +388,7 @@ class TestPsdCertify:
         assert cert.min_eigenvalue >= -1e-12
 
     def test_negative_definite_fails(self):
-        cert = psd_certify(RealSymmetricMatrix(-np.eye(2)), tol=1e-10)
+        cert = psd_certify(HermitianMatrix(-np.eye(2)), tol=1e-10)
         assert not cert.passed
         assert cert.min_eigenvalue == pytest.approx(-1.0, abs=1e-14)
         assert cert.nullspace_dim == 0
@@ -335,12 +398,12 @@ class TestPsdCertify:
         assert cert.passed and cert.nullspace_dim == 1
 
     def test_default_tolerance_scales_with_entries(self):
-        m = RealSymmetricMatrix(np.diag([1e8, -1e-4]))
+        m = HermitianMatrix(np.diag([1e8, -1e-4]))
         assert psd_certify(m).passed  # -1e-4 is within 1e-10 * 1e8
         assert not psd_certify(m, tol=1e-10).passed
 
     def test_zero_matrix_nullspace(self):
-        cert = psd_certify(RealSymmetricMatrix(np.zeros((3, 3))), tol=1e-10)
+        cert = psd_certify(HermitianMatrix(np.zeros((3, 3))), tol=1e-10)
         assert cert.passed and cert.nullspace_dim == 3
 
     def test_negative_tol_rejected(self):
@@ -357,13 +420,13 @@ class TestPsdCertify:
         # with tol=1e-10 the certificate read min_eigenvalue=nan, passed=False;
         # with the default tol it blamed the tol derived from the inf entry
         with pytest.raises(NonFiniteInput):
-            psd_certify(RealSymmetricMatrix(np.diag([np.inf, 0.0])), tol)
+            psd_certify(HermitianMatrix(np.diag([np.inf, 0.0])), tol)
 
     def test_overflowing_spectrum_rejected(self):
         # eigvalsh gives [0, inf] for this finite matrix; a certificate from
         # an overflowed spectrum is not one
         with pytest.raises(NonFiniteResult):
-            psd_certify(RealSymmetricMatrix(np.full((2, 2), 1e308)), 1e-10)
+            psd_certify(HermitianMatrix(np.full((2, 2), 1e308)), 1e-10)
 
     def test_solver_failure(self, monkeypatch):
         def fail(m):

@@ -117,8 +117,18 @@ class TestCheckSymmetry:
         assert (a.lhs, a.rhs, a.slack) == (b.lhs, b.rhs, b.slack)
 
     def test_bad_n_perms(self):
-        with pytest.raises(ValueError):
-            check_symmetry(builtin("lse"), [1.0, 2.0], n_perms=0)
+        # n_perms=True ran one permutation; n_perms=2.5 raised a raw TypeError
+        for n_perms in (0, -1, True, 2.5):
+            with pytest.raises(ValueError):
+                check_symmetry(builtin("lse"), np.arange(8.0), n_perms=n_perms)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_bad_seed(self, n):
+        # seed=True gave a result with trial_seed=True; seed=-1 surfaced
+        # numpy's "expected non-negative integer"
+        for seed in (True, -1, 2**64, 1.5):
+            with pytest.raises(ValueError):
+                check_symmetry(builtin("lse"), np.arange(float(n)), seed=seed)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_an_error_without_a_warning(self):
