@@ -17,6 +17,11 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether `value` is a real number and not a bool, which Python counts as one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def as_numbers(values, err: str, complex_ok: bool) -> np.ndarray:
     """A new float64 array of `values`, or complex128 for complex ones where `complex_ok`.
 
@@ -34,7 +39,7 @@ def as_numbers(values, err: str, complex_ok: bool) -> np.ndarray:
 
 def require_tol(tol) -> None:
     """Raise ValueError unless `tol` is a finite real >= 0, the rule for every tolerance."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if not (is_real(tol) and math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: verify-gt, verify-convexity, hessian-check, davis-check,
-erratum-dkd, eval.  Exit status 0 when every check passes, 1 when a violation
-was found (the report is still written), 2 on usage or input errors.
+erratum-dkd, eval.  The four campaign subcommands are rows of `CAMPAIGNS`, and
+one handler runs every row.  Exit status 0 when every check passes, 1 when a
+violation was found (the report is still written), 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import Error, NonFiniteResult
-from .gt import (
+from .gt import (  # convexity_check and gt_weak_check are run by their CAMPAIGNS name
     CampaignConfig,
     CampaignReport,
     convexity_check,
@@ -56,7 +57,7 @@ def _csv_vector(text: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _campaign_flags(sub: argparse.ArgumentParser, matrices: bool = False) -> None:
+def _campaign_flags(sub: argparse.ArgumentParser, matrices: bool) -> None:
     sub.add_argument("--dim", type=int, default=_DEFAULTS["dim"], metavar="N",
                      help="matrix dimension (default 8)")
     sub.add_argument("--trials", type=int, default=_DEFAULTS["trials"], metavar="T",
@@ -80,6 +81,25 @@ def _campaign_flags(sub: argparse.ArgumentParser, matrices: bool = False) -> Non
                          help="second matrix file for the single check")
 
 
+# each campaign subcommand is a row: its help text; its campaigns as (check
+# kind, fixed tol), where None takes --tol; the name of the module attribute
+# that --matrix/--matrix-b run, or None; and whether it takes --fn.  The single
+# check is looked up by name per call, so the parser, built once, calls a
+# patched binding (perfbench's span tracer patches them)
+CAMPAIGNS = {
+    "verify-gt": ("certify log tr exp(A+B) <= log tr exp(A) + log tr exp(B)",
+                  (("GT_WEAK", None),), "gt_weak_check", False),
+    "verify-convexity": ("certify midpoint convexity of log tr exp",
+                         (("MIDPOINT_CONVEXITY", None),), "convexity_check", False),
+    "hessian-check": ("certify the log-sum-exp Hessian: PSD spectrum and "
+                      "agreement with finite differences",
+                      (("HESSIAN_PSD", None), ("HESSIAN_FD_MATCH", FD_MATCH_TOL)), None, False),
+    "davis-check": ("certify unitary invariance of a lifted function and "
+                    "its agreement with the diagonal restriction",
+                    (("UNITARY_INVARIANCE", None), ("DAVIS_RESTRICTION", None)), None, True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the gtcert command line; each subcommand sets `run` to its handler."""
     parser = argparse.ArgumentParser(
@@ -89,32 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True, metavar="subcommand")
 
-    # each single check is bound as a lambda that looks the module attribute up
-    # per call, so the parser, built once, calls a patched binding (perfbench's
-    # span tracer patches them) and not the function it saw when it was built
-    p = sub.add_parser("verify-gt", help="certify log tr exp(A+B) <= log tr exp(A) + log tr exp(B)")
-    _campaign_flags(p, matrices=True)
-    p.set_defaults(run=functools.partial(
-        _cmd_verify, kind="GT_WEAK", check=lambda a, b, tol: gt_weak_check(a, b, tol)))
-
-    p = sub.add_parser("verify-convexity", help="certify midpoint convexity of log tr exp")
-    _campaign_flags(p, matrices=True)
-    p.set_defaults(run=functools.partial(
-        _cmd_verify, kind="MIDPOINT_CONVEXITY", check=lambda a, b, tol: convexity_check(a, b, tol)))
-
-    p = sub.add_parser("hessian-check",
-                       help="certify the log-sum-exp Hessian: PSD spectrum and "
-                       "agreement with finite differences")
-    _campaign_flags(p)
-    p.set_defaults(run=_cmd_hessian)
-
-    p = sub.add_parser("davis-check",
-                       help="certify unitary invariance of a lifted function and "
-                       "its agreement with the diagonal restriction")
-    _campaign_flags(p)
-    p.add_argument("--fn", default="lse", metavar="NAME",
-                   help="built-in function to lift (default lse)")
-    p.set_defaults(run=_cmd_davis)
+    for name, (help_text, campaigns, single, takes_fn) in CAMPAIGNS.items():
+        p = sub.add_parser(name, help=help_text)
+        _campaign_flags(p, matrices=single is not None)
+        if takes_fn:
+            p.add_argument("--fn", default="lse", metavar="NAME",
+                           help="built-in function to lift (default lse)")
+        p.set_defaults(run=functools.partial(_cmd_campaign, campaigns=campaigns, single=single))
 
     p = sub.add_parser("erratum-dkd",
                        help="print the Hessian next to the product D K D and "
@@ -154,19 +155,6 @@ def _print_report(report: CampaignReport) -> None:
     )
 
 
-def _ensemble(args) -> EnsembleSpec:
-    return EnsembleSpec(args.ensemble, args.dim, args.scale, args.seed)
-
-
-def _run_campaigns(args, configs) -> int:
-    reports = [run_campaign(c) for c in configs]
-    for report in reports:
-        _print_report(report)
-    docs = [r.to_json_dict() for r in reports]
-    _write_out(args.out, docs[0] if len(docs) == 1 else docs)
-    return 0 if all(r.violations == 0 for r in reports) else 1
-
-
 def _single_check(args, kind, check) -> int:
     if not (args.matrix and args.matrix_b):
         print("error: --matrix and --matrix-b must be given together", file=sys.stderr)
@@ -191,28 +179,20 @@ def _single_check(args, kind, check) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_verify(args, kind, check) -> int:
-    """A campaign of `kind`, or the single check `check` when matrix files are given."""
-    if args.matrix or args.matrix_b:
-        return _single_check(args, kind, check)
-    config = CampaignConfig(kind, _ensemble(args), args.trials, args.tol, args.parallel)
-    return _run_campaigns(args, [config])
-
-
-def _cmd_hessian(args) -> int:
-    ens = _ensemble(args)
-    return _run_campaigns(args, [
-        CampaignConfig("HESSIAN_PSD", ens, args.trials, args.tol, args.parallel),
-        CampaignConfig("HESSIAN_FD_MATCH", ens, args.trials, FD_MATCH_TOL, args.parallel),
-    ])
-
-
-def _cmd_davis(args) -> int:
-    ens = _ensemble(args)
-    return _run_campaigns(args, [
-        CampaignConfig("UNITARY_INVARIANCE", ens, args.trials, args.tol, args.parallel, fn=args.fn),
-        CampaignConfig("DAVIS_RESTRICTION", ens, args.trials, args.tol, args.parallel, fn=args.fn),
-    ])
+def _cmd_campaign(args, campaigns, single) -> int:
+    """Every campaign of a subcommand's row, or its single check when matrix files are given."""
+    if single and (args.matrix or args.matrix_b):
+        return _single_check(args, campaigns[0][0], globals()[single])
+    ens = EnsembleSpec(args.ensemble, args.dim, args.scale, args.seed)
+    fn = getattr(args, "fn", None)
+    configs = [CampaignConfig(kind, ens, args.trials, args.tol if tol is None else tol,
+                              args.parallel, fn=fn) for kind, tol in campaigns]
+    reports = [run_campaign(c) for c in configs]
+    for report in reports:
+        _print_report(report)
+    docs = [r.to_json_dict() for r in reports]
+    _write_out(args.out, docs[0] if len(docs) == 1 else docs)
+    return 0 if all(r.violations == 0 for r in reports) else 1
 
 
 def _format_matrix(m: np.ndarray) -> str:

@@ -279,13 +279,18 @@ CHECKS = {
 
 CHECK_KINDS = tuple(CHECKS)
 
+# the kinds whose trials lift CampaignConfig.fn; the others check lse itself
+LIFTING_KINDS = ("MIDPOINT_CONVEXITY", "UNITARY_INVARIANCE", "DAVIS_RESTRICTION")
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
     """What to check, over which ensemble, how many times, at what tolerance.
 
     `fn` names the built-in that MIDPOINT_CONVEXITY, UNITARY_INVARIANCE and
-    DAVIS_RESTRICTION trials lift (default lse, the central object).
+    DAVIS_RESTRICTION trials lift (default lse, the central object).  The
+    other kinds, GT_WEAK, GT_STRONG, HESSIAN_PSD and HESSIAN_FD_MATCH, check
+    lse itself and refuse an `fn`.
     `parallel` is accepted for compatibility and has no effect: every
     campaign runs the same chunked, batched schedule, and the report never
     depends on it.
@@ -307,6 +312,8 @@ class CampaignConfig:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
         require_tol(self.tol)
         if self.fn is not None:
+            if self.check_kind not in LIFTING_KINDS:
+                raise ValueError(f"{self.check_kind} lifts no function; fn must be None, got {self.fn!r}")
             builtin(self.fn)  # fail fast on unknown names
 
 

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .checks import as_numbers, is_int, require_tol
+from .checks import as_numbers, is_int, is_real, require_tol
 from .errors import (
     ConvergenceFailure,
     HermiticityViolation,
@@ -133,8 +133,8 @@ class EnsembleSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", parse_ensemble_kind(self.kind))
         _require_size_and_seed(self.n, self.seed)
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
+        if not (is_real(self.scale) and np.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be a finite real > 0, got {self.scale!r}")
         if self.kind == "diag" and not np.isfinite(2.0 * self.scale):
             # numpy's uniform draw needs the width of [-scale, scale] to be finite
             raise ValueError(f"diag scale must be at most {np.finfo(float).max / 2:.6g}, got {self.scale!r}")

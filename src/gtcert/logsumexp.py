@@ -24,12 +24,11 @@ overflows for any finite input.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import as_numbers, is_int, require_tol
+from .checks import as_numbers, is_int, is_real, require_tol
 from .errors import NonFiniteInput
 from .hermitian import HermitianMatrix, stacked_spectrum
 
@@ -166,7 +165,7 @@ def hessian_fd(x, h: float = 1e-4) -> HermitianMatrix:
     default step.
     """
     arr = _as_vector(x)
-    if not (isinstance(h, numbers.Real) and not isinstance(h, bool) and math.isfinite(h) and h > 0):
+    if not (is_real(h) and math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be a finite real > 0, got {h!r}")
     return HermitianMatrix(hessian_fd_rows(arr[None], h)[0])
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import CheckResult, first_result, is_int, quiet_rows
+from .checks import CheckResult, first_result, is_int, is_real, quiet_rows
 from .errors import (
     DimensionMismatch,
     HermiticityViolation,
@@ -179,8 +179,8 @@ def segment_convexity_residual(
     func: SpectralFunction, a: HermitianMatrix, b: HermitianMatrix, t: float
 ) -> float:
     """t F(A) + (1-t) F(B) - F(t A + (1-t) B) for t in [0, 1]."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    if not (is_real(t) and 0.0 <= t <= 1.0):
+        raise ValueError(f"t must be a real in [0, 1], got {t!r}")
     _same_n(a, b)
     return float(quiet_rows(segment_rows, func.base, a.entries[None], b.entries[None], t)[2][0])
 

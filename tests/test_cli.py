@@ -13,6 +13,7 @@ import pytest
 import gtcert
 
 from gtcert import (
+    CampaignConfig,
     EnsembleSpec,
     HermiticityViolation,
     HermitianMatrix,
@@ -22,6 +23,7 @@ from gtcert import (
     load_matrix,
     loads_matrix,
     random_hermitian,
+    run_campaign,
     save_matrix,
 )
 from gtcert import cli
@@ -235,6 +237,29 @@ class TestCampaignCommands:
         docs = json.loads(out.read_text())
         assert [d["check_kind"] for d in docs] == ["UNITARY_INVARIANCE", "DAVIS_RESTRICTION"]
 
+    @pytest.mark.parametrize("command, configs", [
+        ("verify-gt", [("GT_WEAK", 1e-9, None)]),
+        ("verify-convexity", [("MIDPOINT_CONVEXITY", 1e-9, None)]),
+        ("hessian-check", [("HESSIAN_PSD", 1e-9, None), ("HESSIAN_FD_MATCH", 1e-6, None)]),
+        ("davis-check", [("UNITARY_INVARIANCE", 1e-9, "max"), ("DAVIS_RESTRICTION", 1e-9, "max")]),
+    ])
+    def test_reports_match_the_library(self, tmp_path, capsys, command, configs):
+        # the --out document is the library's report of each config the
+        # subcommand names: --tol reaches every kind but HESSIAN_FD_MATCH, and
+        # --fn reaches both davis-check kinds
+        out = tmp_path / "r.json"
+        argv = [command, "--dim", "3", "--trials", "40", "--seed", "21", "--ensemble", "goe",
+                "--scale", "1.5", "--tol", "1e-9", "--out", str(out)]
+        assert main(argv + (["--fn", "max"] if command == "davis-check" else [])) == 0
+        ens = EnsembleSpec("goe", 3, 1.5, 21)
+        expected = [run_campaign(CampaignConfig(kind, ens, 40, tol, fn=fn)).to_json_dict()
+                    for kind, tol, fn in configs]
+        written = json.loads(out.read_text())
+        written = written if isinstance(written, list) else [written]
+        for doc in written + expected:
+            doc["wall_time_s"] = 0.0
+        assert written == expected
+
     def test_non_finite_campaign_exits_2_without_nan(self, tmp_path, capsys):
         # pnorm:1e6 overflows; the NaN deviation used to count as a violation
         # and was written as a bare NaN into the report
@@ -381,6 +406,9 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["verify-gt", "--seed", "1", "--bogus"]) == 2
+        # of the campaign subcommands, only davis-check lifts a named function
+        for command in ("verify-gt", "verify-convexity", "hessian-check"):
+            assert main([command, "--seed", "1", "--fn", "max"]) == 2
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

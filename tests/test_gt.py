@@ -254,9 +254,9 @@ class TestCheckResult:
         with pytest.raises(ValueError):
             CheckResult(lhs=0.0, rhs=1.0, slack=1.0, tol=-1e-10)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1j, "0"])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 1j, "0", True])
     def test_tol_must_be_a_finite_real(self, tol):
-        # tol=inf passed a slack of -5
+        # tol=inf passed a slack of -5, and tol=True read as 1.0
         with pytest.raises(ValueError):
             CheckResult(lhs=0.0, rhs=1.0, slack=-5.0, tol=tol)
 
@@ -613,7 +613,14 @@ class TestRunCampaign:
         with pytest.raises(ValueError):
             config("GT_WEAK", tol=math.inf)
         with pytest.raises(ValueError):
+            config("GT_WEAK", tol=True)  # read as 1.0, and written as "tol": true
+        with pytest.raises(ValueError):
             config("GT_WEAK", fn="median")
+        # fn was ignored by the kinds that check lse itself: the report read like
+        # a check of max that never ran
+        for kind in ("GT_WEAK", "GT_STRONG", "HESSIAN_PSD", "HESSIAN_FD_MATCH"):
+            with pytest.raises(ValueError):
+                config(kind, fn="max")
 
     def test_violations_counted_and_reported(self):
         # an impossible tolerance forces violations without faking math:

@@ -78,7 +78,7 @@ class TestValidateHermitian:
         with pytest.raises(ValueError):
             validate_hermitian(np.eye(2), -1.0)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, "1e-10"])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, "1e-10", True])
     def test_tol_must_be_a_finite_real(self, tol):
         # tol=inf accepted [[0, 1], [5, 0]] and returned the off-diagonal 3
         with pytest.raises(ValueError):
@@ -246,6 +246,11 @@ class TestEnsembles:
             dict(kind="gue", n=True, scale=1.0, seed=0),
             dict(kind="gue", n=2, scale=1.0, seed=True),
             dict(kind="gue", n=2, scale=1.0, seed=False),
+            # scale=True ran and reached the report as "scale": true; "1" raised
+            # numpy's TypeError from isfinite
+            dict(kind="gue", n=2, scale=True, seed=0),
+            dict(kind="gue", n=2, scale="1", seed=0),
+            dict(kind="gue", n=2, scale=1j, seed=0),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -203,8 +203,10 @@ class TestConvexityResiduals:
             assert segment_convexity_residual(f, a, b, t) >= -1e-10
         assert segment_convexity_residual(f, a, b, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert segment_convexity_residual(f, a, b, 1.0) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            segment_convexity_residual(f, a, b, 1.5)
+        # True read as 1.0, and "0.5" raised a bare TypeError from the comparison
+        for t in (1.5, True, "0.5", 0.5j):
+            with pytest.raises(ValueError):
+                segment_convexity_residual(f, a, b, t)
 
     def test_sizes_must_match(self):
         f = lift(builtin("lse"))
