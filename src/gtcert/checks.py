@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CampaignTrialError, NonFiniteResult
+from .errors import CampaignTrialError, NonFiniteInput, NonFiniteResult, require_rows
 
 
 def is_int(value) -> bool:
@@ -41,6 +41,26 @@ def require_tol(tol) -> None:
     """Raise ValueError unless `tol` is a finite real >= 0, the rule for every tolerance."""
     if not (is_real(tol) and math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite real >= 0, got {tol!r}")
+
+
+def require_positive_int(value, name: str, error=ValueError) -> None:
+    """Raise `error` unless `value` is an int >= 1 and not a bool, the rule for every size and count."""
+    if not (is_int(value) and value >= 1):
+        raise error(f"{name} must be a positive integer, got {value!r}")
+
+
+def require_seed(seed) -> None:
+    """Raise ValueError unless `seed` is an unsigned 64-bit int and not a bool, the rule for every seed."""
+    if not (is_int(seed) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+
+
+def require_finite_rows(stack: np.ndarray, what: str) -> None:
+    """Raise NonFiniteInput, with `row` the first vector or matrix of a stack that holds a NaN or an infinity."""
+    finite = np.isfinite(stack)
+    if not finite.all():  # one reduction when every row is finite, the usual case
+        ok = finite.reshape(len(stack), -1).all(axis=1)
+        require_rows(ok, NonFiniteInput, f"{what} contains NaN or infinity")
 
 
 def slack_bound(rhs, tol: float):

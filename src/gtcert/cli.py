@@ -24,7 +24,7 @@ from .gt import (  # convexity_check and gt_weak_check are run by their CAMPAIGN
     gt_weak_check,
     run_campaign,
 )
-from .hermitian import EnsembleSpec
+from .hermitian import ENSEMBLE_KINDS, EnsembleSpec
 from .logsumexp import dkd_product, lse_hessian_analytic
 from .matrixio import load_matrix
 from .spectral import builtin, lift, lift_eval
@@ -62,7 +62,7 @@ def _campaign_flags(sub: argparse.ArgumentParser, matrices: bool) -> None:
                      help="matrix dimension (default 8)")
     sub.add_argument("--trials", type=int, default=_DEFAULTS["trials"], metavar="T",
                      help="number of trials (default 1000)")
-    sub.add_argument("--ensemble", choices=("gue", "goe", "diag"),
+    sub.add_argument("--ensemble", choices=ENSEMBLE_KINDS,
                      default=_DEFAULTS["ensemble"], help="random ensemble (default gue)")
     sub.add_argument("--scale", type=float, default=_DEFAULTS["scale"], metavar="S",
                      help="ensemble scale (default 1.0)")

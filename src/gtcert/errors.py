@@ -45,7 +45,7 @@ class ConvergenceFailure(Error):
 
 
 class NonFiniteInput(Error):
-    """Input contains NaN or infinity."""
+    """Input holds a NaN or an infinity."""
 
 
 class NonFiniteResult(Error):

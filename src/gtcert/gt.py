@@ -30,13 +30,14 @@ import numpy as np
 from .checks import (
     CheckResult,
     first_result,
-    is_int,
     non_finite_trial,
     quiet_rows,
+    require_finite_rows,
+    require_positive_int,
     require_tol,
     slack_bound,
 )
-from .errors import CampaignTrialError, Error, NonFiniteInput, require_rows
+from .errors import CampaignTrialError, Error
 from .hermitian import (
     GENERATOR_ID,
     EnsembleSpec,
@@ -151,20 +152,16 @@ def _gt_strong(f, a, b):
     return lhs, rhs, rhs - lhs
 
 
-def _require_finite_vectors(x):
-    # the row kernels do not validate: a -inf entry gets softmax weight 0, so
-    # the Hessian and the stencil stay finite and the trial would pass
-    require_rows(np.isfinite(x).all(axis=1), NonFiniteInput, "vector contains NaN or infinity")
-
-
+# the Hessian kinds guard their vectors, as the row kernels do not: a -inf
+# entry gets softmax weight 0, so the Hessian and the stencil stay finite
 def _hessian_psd(f, x):
-    _require_finite_vectors(x)
+    require_finite_rows(x, "vector")
     w_min = stacked_spectrum(hessian_rows(x))[:, 0]
     return w_min, np.zeros_like(w_min), w_min
 
 
 def _hessian_fd_match(f, x):
-    _require_finite_vectors(x)
+    require_finite_rows(x, "vector")
     dev = np.abs(hessian_rows(x) - hessian_fd_rows(x)).max(axis=(1, 2))
     return dev, np.zeros_like(dev), -dev
 
@@ -308,8 +305,7 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown check kind {self.check_kind!r}; expected one of {CHECK_KINDS}"
             )
-        if not (is_int(self.trials) and self.trials >= 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+        require_positive_int(self.trials, "trials")
         require_tol(self.tol)
         if self.fn is not None:
             if self.check_kind not in LIFTING_KINDS:

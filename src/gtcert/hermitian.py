@@ -21,11 +21,11 @@ from typing import Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .checks import as_numbers, is_int, is_real, require_tol
+from .checks import (as_numbers, is_real, require_finite_rows, require_positive_int, require_seed,
+                     require_tol)
 from .errors import (
     ConvergenceFailure,
     HermiticityViolation,
-    NonFiniteInput,
     NonFiniteResult,
     NotSquareError,
     UnitarityViolation,
@@ -36,7 +36,7 @@ from .errors import (
 GENERATOR_ID = "numpy-pcg64"
 
 _UNITARY_TOL = 1e-10
-_ENSEMBLE_KINDS = ("gue", "goe", "diag")
+ENSEMBLE_KINDS = ("gue", "goe", "diag")
 
 
 def _as_square(entries, err: str) -> np.ndarray:
@@ -52,65 +52,62 @@ def _as_square(entries, err: str) -> np.ndarray:
     return arr
 
 
-class HermitianMatrix:
-    """Immutable dense matrix whose entries equal their conjugate transpose exactly.
+class _Matrix:
+    """Immutable square matrix, float64 for bool, integer or real input and complex128 for complex input.
 
-    The constructor demands exact conjugate symmetry, which the symmetrization
-    performed by `validate_hermitian` gives; near-Hermitian input goes through
-    `validate_hermitian` instead.  The type holds validated entries and does
-    no arithmetic: checks combine the `entries` of stacked matrices directly.
-    `entries` is float64 when the input has a bool, integer or real dtype (a
-    real symmetric matrix) and complex128 when it is complex; str, bytes and
-    object entries raise TypeError.  A check on a real and a complex matrix
-    promotes the real one where it combines them.
+    str, bytes and object entries raise TypeError.  Each subclass states its
+    own invariant in `_require`, which the constructor runs before freezing.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = _as_square(entries, "HermitianMatrix")
+        arr = _as_square(entries, type(self).__name__)
+        self._require(arr)
+        arr.setflags(write=False)
+        self._entries = arr
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._entries
+
+    @property
+    def n(self) -> int:
+        return self._entries.shape[0]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class HermitianMatrix(_Matrix):
+    """Immutable dense matrix whose entries equal their conjugate transpose exactly.
+
+    Near-Hermitian input goes through `validate_hermitian` instead.  The type
+    does no arithmetic: checks combine the `entries` of stacked matrices, and
+    promote a real matrix where they combine it with a complex one.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _require(arr: np.ndarray) -> None:
         if not np.array_equal(arr, arr.conj().T):
             raise HermiticityViolation(
                 "entries are not exactly conjugate-symmetric; "
                 "use validate_hermitian for inputs with noise"
             )
-        arr.setflags(write=False)
-        self._entries = arr
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def n(self) -> int:
-        return self._entries.shape[0]
-
-    def __repr__(self) -> str:
-        return f"HermitianMatrix(n={self.n})"
 
 
-class UnitaryMatrix:
-    """Square matrix with max |U*U - I| <= 1e-10, checked at construction; dtype as in HermitianMatrix."""
+class UnitaryMatrix(_Matrix):
+    """Square matrix with max |U*U - I| <= 1e-10, the one place where unitarity is tested."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
-    def __init__(self, entries):
-        arr = _as_square(entries, "UnitaryMatrix")
-        if not unitarity_rows(arr[None])[0]:
+    @staticmethod
+    def _require(arr: np.ndarray) -> None:
+        u = arr[None]
+        if not np.abs(conj_t(u) @ u - np.eye(arr.shape[0])).max() <= _UNITARY_TOL:
             raise UnitarityViolation(f"max |U*U - I| exceeds {_UNITARY_TOL}")
-        arr.setflags(write=False)
-        self._entries = arr
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def n(self) -> int:
-        return self._entries.shape[0]
-
-    def __repr__(self) -> str:
-        return f"UnitaryMatrix(n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,8 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", parse_ensemble_kind(self.kind))
-        _require_size_and_seed(self.n, self.seed)
+        require_positive_int(self.n, "n")
+        require_seed(self.seed)
         if not (is_real(self.scale) and np.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a finite real > 0, got {self.scale!r}")
         if self.kind == "diag" and not np.isfinite(2.0 * self.scale):
@@ -140,47 +138,57 @@ class EnsembleSpec:
             raise ValueError(f"diag scale must be at most {np.finfo(float).max / 2:.6g}, got {self.scale!r}")
 
 
-def _require_size_and_seed(n, seed) -> None:
-    """Raise ValueError unless n is a positive int and seed an unsigned 64-bit int (bools are neither)."""
-    if not (is_int(n) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (is_int(seed) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-
-
 def parse_ensemble_kind(kind: str) -> str:
     """Canonicalize an ensemble kind name: 'GUE' and ' gue ' give 'gue'."""
     key = str(kind).strip().lower()
-    if key not in _ENSEMBLE_KINDS:
-        raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {_ENSEMBLE_KINDS}")
+    if key not in ENSEMBLE_KINDS:
+        raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {ENSEMBLE_KINDS}")
     return key
 
 
 def validate_hermitian(entries, tol: float) -> HermitianMatrix:
     """Accept a near-Hermitian array and return it exactly conjugate-symmetric.
 
-    Accepts iff max |M - M*| <= tol * max(1, max |M|).  M comes back with its
-    bits unchanged when max |M - M*| is 0, so an exactly Hermitian matrix
-    keeps its subnormals and signed zeros; otherwise the result is the
-    symmetrization M/2 + M*/2, whose diagonal is real.  Halving before adding
-    keeps entries near the double-precision limit finite, and outside the
-    subnormal range gives the same bits as (M + M*)/2.  Raises NotSquareError,
-    NonFiniteInput, HermiticityViolation, or TypeError for non-numeric entries.
+    `near_hermitian_rows` and `symmetrized` on a batch of one: M must be finite
+    with max |M - M*| <= tol * max(1, max |M|), and becomes M/2 + M*/2, except
+    that it keeps its bits (subnormals and signed zeros too) when max |M - M*|
+    is 0.  Raises NotSquareError, NonFiniteInput, HermiticityViolation, or
+    TypeError for non-numeric entries.
     """
     require_tol(tol)
-    arr = _as_square(entries, "validate_hermitian")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput("matrix contains NaN or infinity")
-    residual = np.max(np.abs(arr - arr.conj().T))
-    bound = tol * max(1.0, float(np.max(np.abs(arr))))
-    if not residual <= bound:
-        raise HermiticityViolation(
-            f"max |M - M*| = {residual:.3e} exceeds {bound:.3e} (tol={tol:g})"
-        )
-    if residual == 0:
-        return HermitianMatrix(arr)
-    half = 0.5 * arr
-    return HermitianMatrix(half + half.conj().T)
+    arr = _as_square(entries, "validate_hermitian")[None]
+    exact = near_hermitian_rows(arr, tol, "matrix")[0] == 0
+    return HermitianMatrix((arr if exact else symmetrized(arr))[0])
+
+
+def near_hermitian_rows(stack: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """max |M - M*| of each M of a (T, n, n) stack; the one rule for near-Hermitian input.
+
+    Each M must be finite (`checks.require_finite_rows`) and have max |M - M*|
+    <= tol * max(1, max |M|); the first that is not raises NonFiniteInput or
+    HermiticityViolation with its index as `row`.
+    """
+    require_finite_rows(stack, what)
+    with np.errstate(over="ignore"):  # M - M* of a finite M far from Hermitian can overflow
+        residual = np.abs(stack - conj_t(stack)).max(axis=(1, 2))
+        bound = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    ok = residual <= bound
+    if not ok.all():
+        row = int(ok.argmin())
+        raise at_row(HermiticityViolation(
+            f"{what} is not Hermitian: max |M - M*| = {residual[row]:.3e} exceeds {bound[row]:.3e} (tol={tol:g})"
+        ), row)
+    return residual
+
+
+def symmetrized(stack: np.ndarray) -> np.ndarray:
+    """M/2 + M*/2 for each M of a (T, n, n) stack: exactly conjugate-symmetric, with a real diagonal.
+
+    Halving before adding keeps entries near the double-precision limit
+    finite, and outside the subnormal range gives the bits of (M + M*)/2.
+    """
+    half = 0.5 * stack
+    return half + conj_t(half)
 
 
 # numpy's SeedSequence: hashmix/mix constants over uint32 words, a 4-word pool
@@ -345,10 +353,7 @@ def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
         g = _normal_stack(rngs, (n, n), scale)
         with np.errstate(over="ignore", invalid="ignore"):
             return (g + g.swapaxes(-1, -2)) / 2.0
-    d = vector_stack(kind, n, scale, rngs)
-    out = np.zeros(d.shape + (n,))
-    out[:, np.arange(n), np.arange(n)] = d
-    return out
+    return diagonal_stack(vector_stack(kind, n, scale, rngs))
 
 
 def vector_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
@@ -358,11 +363,20 @@ def vector_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
     return np.stack([rng.uniform(-scale, scale, n) for rng in rngs])
 
 
+def diagonal_stack(x: np.ndarray) -> np.ndarray:
+    """diag(x) for each row of a (T, n) stack, as a (T, n, n) stack with zeros off the diagonal."""
+    n = x.shape[-1]
+    out = np.zeros(x.shape + (n,))
+    out[:, np.arange(n), np.arange(n)] = x
+    return out
+
+
 def haar_stack(n: int, rngs) -> np.ndarray:
     """One Haar-distributed n x n unitary per generator, as a (T, n, n) stack.
 
     QR of a complex Ginibre matrix (one stacked QR call), with column phases
-    fixed so the triangular factor has a positive real diagonal.
+    fixed so the triangular factor has a positive real diagonal; this makes
+    the distribution exactly Haar rather than merely unitary.
     """
     g = _normal_stack(rngs, (2, n, n))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
@@ -386,14 +400,9 @@ def random_vector(spec: EnsembleSpec) -> np.ndarray:
 
 
 def random_unitary(n: int, seed: int) -> UnitaryMatrix:
-    """Haar-distributed n x n unitary.
-
-    QR of a complex Ginibre matrix, with column phases fixed so the
-    triangular factor has a positive real diagonal; this makes the
-    distribution exactly Haar rather than merely unitary.  `n` and `seed`
-    follow the rules of `EnsembleSpec`.
-    """
-    _require_size_and_seed(n, seed)
+    """Haar-distributed n x n unitary, drawn by `haar_stack`; `n` and `seed` follow `EnsembleSpec`'s rules."""
+    require_positive_int(n, "n")
+    require_seed(seed)
     return UnitaryMatrix(haar_stack(n, _fresh(seed))[0])
 
 
@@ -402,23 +411,18 @@ def conj_t(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def unitarity_rows(u: np.ndarray) -> np.ndarray:
-    """Row mask: max |U*U - I| <= 1e-10 for each matrix of a (T, n, n) stack."""
-    dev = np.abs(conj_t(u) @ u - np.eye(u.shape[-1])).max(axis=(1, 2))
-    return dev <= _UNITARY_TOL
-
-
 def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of every matrix in a (T, n, n) stack, in one solver call.
 
     With `vectors`, returns (eigenvalues, eigenvectors) as `np.linalg.eigh`
-    does.  Each matrix must be finite and exactly conjugate-symmetric; the
-    first one that is not raises NonFiniteInput or HermiticityViolation with
-    its index as the error's `row`, as does a ConvergenceFailure, and a
-    NonFiniteResult for the first matrix whose eigenvalues overflow.
+    does.  Each matrix must be finite (`checks.require_finite_rows`) and
+    exactly conjugate-symmetric, the invariant of `HermitianMatrix`; near-
+    Hermitian input is made exact by `symmetrized` first.  The first matrix
+    that is not raises NonFiniteInput or HermiticityViolation with its index
+    as the error's `row`, as does a ConvergenceFailure, and a NonFiniteResult
+    for the first matrix whose eigenvalues overflow.
     """
-    require_rows(np.isfinite(stack).all(axis=(1, 2)), NonFiniteInput,
-                 "matrix contains NaN or infinity")
+    require_finite_rows(stack, "matrix")
     require_rows((stack == conj_t(stack)).all(axis=(1, 2)), HermiticityViolation,
                  "entries are not exactly conjugate-symmetric")
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh

@@ -24,12 +24,12 @@ overflows for any finite input.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import as_numbers, is_int, is_real, require_tol
-from .errors import NonFiniteInput
+from .checks import as_numbers, is_real, require_finite_rows, require_positive_int, require_tol
 from .hermitian import HermitianMatrix, stacked_spectrum
 
 SUM_TOL = 1e-14  # softmax weights must sum to 1 this tightly
@@ -39,8 +39,7 @@ def _as_vector(x) -> np.ndarray:
     arr = as_numbers(x, "vector", complex_ok=False)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("vector contains NaN or infinity")
+    require_finite_rows(arr[None], "vector")
     return arr
 
 
@@ -162,12 +161,13 @@ def hessian_fd(x, h: float = 1e-4) -> HermitianMatrix:
     are built as one array, each as (x + s_i h e_i) + s_j h e_j, and evaluated
     by one row-wise lse (`hessian_fd_rows` on a batch of one).  Serves as the
     numerical oracle for `lse_hessian_analytic`; agreement is ~1e-7 at the
-    default step.
+    default step, which must make the divisor 4 h^2 a finite normal float.
     """
     arr = _as_vector(x)
-    if not (is_real(h) and math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be a finite real > 0, got {h!r}")
-    return HermitianMatrix(hessian_fd_rows(arr[None], h)[0])
+    step = float(h) if is_real(h) else math.nan
+    if not (step > 0 and sys.float_info.min <= 4.0 * step * step < math.inf):
+        raise ValueError(f"step h must be a real > 0 with 4 h^2 a finite normal float, got {h!r}")
+    return HermitianMatrix(hessian_fd_rows(arr[None], step)[0])
 
 
 def complete_graph_laplacian(n: int) -> HermitianMatrix:
@@ -176,8 +176,7 @@ def complete_graph_laplacian(n: int) -> HermitianMatrix:
     Diagonal n-1, off-diagonal -1; eigenvalue 0 once and n with multiplicity
     n-1.  Entries are exact small integers.
     """
-    if not (is_int(n) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    require_positive_int(n, "n")
     k = -np.ones((n, n))
     np.fill_diagonal(k, float(n - 1))
     return HermitianMatrix(k)

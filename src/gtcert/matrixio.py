@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .checks import is_int
+from .checks import require_positive_int
 from .errors import MatrixParseError
 from .hermitian import HermitianMatrix, validate_hermitian
 
@@ -49,8 +49,7 @@ def loads_matrix(text: str) -> HermitianMatrix:
     if not isinstance(doc, dict):
         raise MatrixParseError("top-level value must be an object")
     n = doc.get("n")
-    if not (is_int(n) and n >= 1):
-        raise MatrixParseError(f"field 'n' must be a positive integer, got {n!r}")
+    require_positive_int(n, "field 'n'", MatrixParseError)
     if "re" not in doc:
         raise MatrixParseError("missing field 're'")
     re = _block(doc, "re", n)

@@ -22,11 +22,14 @@ from gtcert import (
     lift,
     lift_eval,
     log_trace_exp,
+    lse,
     random_hermitian,
     random_unitary,
     random_vector,
     validate_hermitian,
 )
+from gtcert.checks import quiet_rows
+from gtcert.gt import CHECKS, derive_seeds
 from gtcert.hermitian import (
     generators,
     haar_stack,
@@ -36,11 +39,46 @@ from gtcert.hermitian import (
     stacked_spectrum,
     vector_stack,
 )
+from gtcert.spectral import davis_restriction_rows, unitary_invariance_rows
 from oracles import expm_taylor
 
 
 def gue(n, seed, scale=1.0):
     return random_hermitian(EnsembleSpec("gue", n, scale, seed))
+
+
+def bad_rows(shape, first=-math.inf, second=math.nan):
+    """A stack of 4 arrays of `shape` holding 1.0, but `first` in row 1 and `second` in row 3."""
+    stack = np.ones((4,) + shape)
+    stack[1], stack[3] = first, second
+    return stack
+
+
+_HADAMARD = np.full((4, 2, 2), 2.0 ** -0.5) * [[1.0, 1.0], [1.0, -1.0]]
+
+# (input rule site, call, row of the first bad vector or matrix); the stacked
+# evaluators run under quiet_rows, as campaigns run them
+FINITENESS_SITES = [
+    ("validate_hermitian", lambda: validate_hermitian([[1.0, 0.0], [0.0, math.nan]], 1e-10), 0),
+    ("lse", lambda: lse([0.0, -math.inf]), 0),
+    ("stacked_spectrum", lambda: stacked_spectrum(bad_rows((3, 3))), 1),
+    ("unitary_invariance_rows A",
+     lambda: quiet_rows(unitary_invariance_rows, builtin("lse"), bad_rows((2, 2)), _HADAMARD), 1),
+    # a finite A whose U* A U overflows to 2e308 in rows 1 and 3
+    ("unitary_invariance_rows U* A U",
+     lambda: quiet_rows(unitary_invariance_rows, builtin("lse"), bad_rows((2, 2), 1e308, 1e308), _HADAMARD), 1),
+    ("HESSIAN_PSD", lambda: quiet_rows(CHECKS["HESSIAN_PSD"].evaluate, None, bad_rows((3,))), 1),
+    ("HESSIAN_FD_MATCH", lambda: quiet_rows(CHECKS["HESSIAN_FD_MATCH"].evaluate, None, bad_rows((3,))), 1),
+    ("davis_restriction_rows", lambda: quiet_rows(davis_restriction_rows, builtin("lse"), bad_rows((3,))), 1),
+]
+
+
+@pytest.mark.parametrize("call, row", [s[1:] for s in FINITENESS_SITES], ids=[s[0] for s in FINITENESS_SITES])
+def test_finiteness_guard_names_the_first_bad_row(call, row):
+    # every site goes through checks.require_finite_rows
+    with pytest.raises(NonFiniteInput, match="contains NaN or infinity") as info:
+        call()
+    assert info.value.row == row
 
 
 class TestValidateHermitian:
@@ -62,9 +100,11 @@ class TestValidateHermitian:
         assert h.n == 2
 
     def test_violation_raises(self):
-        m = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(HermiticityViolation):
-            validate_hermitian(m, 1e-10)
+        # M - M* of the finite entries ±1e308 overflowed with numpy's warning
+        # before the error, which the CLI printed above its error line
+        for m in ([[1.0, 1.0], [0.0, 1.0]], [[0.0, 1e308], [-1e308, 0.0]], [[0.0, 1e308j], [1e308j, 0.0]]):
+            with pytest.raises(HermiticityViolation):
+                validate_hermitian(m, 1e-10)
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):
@@ -273,6 +313,13 @@ class TestRandomUnitary:
             u = random_unitary(n, seed=n)
             dev = np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(n)))
             assert dev <= 1e-10
+        # the UNITARY_INVARIANCE evaluator does not re-test the Haar stacks
+        # that campaigns draw, so every draw must pass UnitaryMatrix's test
+        for n in (1, 2, 8, 64):
+            seeds = derive_seeds(n, np.arange(1000))
+            for chunk in np.split(seeds, 10):
+                for u in haar_stack(n, generators(seed_words(chunk))):
+                    UnitaryMatrix(u)
 
     def test_pure_in_seed(self):
         np.testing.assert_array_equal(

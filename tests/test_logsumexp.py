@@ -284,8 +284,10 @@ class TestHessianFiniteDifference:
         assert abs(hessian_fd([4.0]).entries[0, 0]) <= 1e-7
 
     def test_bad_step_rejected(self):
-        # h=True differentiated with step 1.0; h="1e-4" raised numpy's TypeError
-        for h in (0.0, -1e-4, math.inf, math.nan, True, np.True_, "1e-4", None):
+        # h=True differentiated with step 1.0; h="1e-4" raised numpy's TypeError;
+        # h=1e-170 divided by 4 h^2 = 0 (a RuntimeWarning, then a misleading
+        # HermiticityViolation) and h=1e300 by inf (an all-zero Hessian)
+        for h in (0.0, -1e-4, math.inf, math.nan, True, np.True_, "1e-4", None, 1e-170, 1e300):
             with pytest.raises(ValueError):
                 hessian_fd([1.0, 2.0], h=h)
 

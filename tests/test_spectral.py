@@ -27,6 +27,9 @@ from gtcert import (
     segment_convexity_residual,
 )
 
+from gtcert.hermitian import generators, hermitian_stack, seed_words
+from gtcert.spectral import segment_rows
+
 LOG_2_COSH_1 = 1.1269280110429725  # log(e + 1/e)
 
 # not symmetric: the first coordinate of each row
@@ -252,15 +255,19 @@ class TestDavisRestriction:
 
     def test_forward_direction_scalar_to_lift(self):
         # scalar midpoint residuals nonnegative across 10^4 vector pairs, and
-        # the lifted residuals stay above the noise floor across 10^4 matrix pairs
-        rng = np.random.default_rng(2024)
+        # the lifted residuals stay above the noise floor across 10^4 matrix
+        # pairs, each evaluated as one stack: pair i is the x, y that the i-th
+        # pair of rng.uniform(-8, 8, 4) draws would give, and the matrices of
+        # pair s are gue(4, 3s) and gue(4, 3s + 1)
         f = builtin("lse")
-        for _ in range(10_000):
-            x = rng.uniform(-8.0, 8.0, 4)
-            y = rng.uniform(-8.0, 8.0, 4)
-            scalar = 0.5 * (f(x) + f(y)) - f((x + y) / 2.0)
-            assert scalar >= -1e-12
-        func = lift(f)
-        for seed in range(10_000):
-            res = midpoint_convexity_residual(func, gue(4, 3 * seed), gue(4, 3 * seed + 1))
-            assert res >= -1e-10
+        x, y = np.random.default_rng(2024).uniform(-8.0, 8.0, (10_000, 2, 4)).transpose(1, 0, 2)
+        scalar = 0.5 * (f.rows(x) + f.rows(y)) - f.rows((x + y) / 2.0)
+        assert scalar.min() >= -1e-12
+        seeds = 3 * np.arange(10_000)
+        a, b = (hermitian_stack("gue", 4, 1.0, generators(seed_words(s))) for s in (seeds, seeds + 1))
+        assert segment_rows(f, a, b)[2].min() >= -1e-10
+        # the stacks are the public draws: a sample of pairs, through the public path
+        for s in (0, 1, 4999, 9999):
+            np.testing.assert_array_equal(a[s], gue(4, 3 * s).entries)
+            assert midpoint_convexity_residual(lift(f), gue(4, 3 * s), gue(4, 3 * s + 1)) == \
+                segment_rows(f, a[s:s + 1], b[s:s + 1])[2][0]
