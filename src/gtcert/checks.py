@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,8 +19,9 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """Whether `value` is a real number and not a bool, which Python counts as one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether `value` is a real number a float can hold (not 10**400), and not a bool, which Python counts as one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and not (
+        is_int(value) and abs(value) > sys.float_info.max)
 
 
 def as_numbers(values, err: str, complex_ok: bool) -> np.ndarray:

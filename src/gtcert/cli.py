@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .checks import require_seed
 from .errors import Error, NonFiniteResult
 from .gt import (  # convexity_check and gt_weak_check are run by their CAMPAIGNS name
     CampaignConfig,
@@ -41,12 +42,10 @@ _DEFAULTS = {"dim": 8, "trials": 1000, "ensemble": "gue", "scale": 1.0, "tol": 1
 
 def _u64(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in unsigned 64 bits, got {text}")
-    return value
+        require_seed(seed := int(text))
+    except ValueError as exc:  # int()'s or require_seed's; argparse prints it as a usage error
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return seed
 
 
 def _csv_vector(text: str) -> np.ndarray:

@@ -56,14 +56,14 @@ class _Matrix:
     """Immutable square matrix, float64 for bool, integer or real input and complex128 for complex input.
 
     str, bytes and object entries raise TypeError.  Each subclass states its
-    own invariant in `_require`, which the constructor runs before freezing.
+    invariant, finiteness first, in `_require`, run on a stack of one before freezing.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
         arr = _as_square(entries, type(self).__name__)
-        self._require(arr)
+        self._require(arr[None])
         arr.setflags(write=False)
         self._entries = arr
 
@@ -80,33 +80,33 @@ class _Matrix:
 
 
 class HermitianMatrix(_Matrix):
-    """Immutable dense matrix whose entries equal their conjugate transpose exactly.
+    """Immutable dense matrix whose entries are finite and equal their conjugate transpose exactly.
 
-    Near-Hermitian input goes through `validate_hermitian` instead.  The type
-    does no arithmetic: checks combine the `entries` of stacked matrices, and
-    promote a real matrix where they combine it with a complex one.
+    `near_hermitian_rows` at tol 0 certifies both; near-Hermitian input goes
+    through `validate_hermitian` instead.  The type does no arithmetic: checks
+    combine the `entries` of stacked matrices, and promote a real matrix where
+    they combine it with a complex one.
     """
 
     __slots__ = ()
 
     @staticmethod
-    def _require(arr: np.ndarray) -> None:
-        if not np.array_equal(arr, arr.conj().T):
-            raise HermiticityViolation(
-                "entries are not exactly conjugate-symmetric; "
-                "use validate_hermitian for inputs with noise"
-            )
+    def _require(stack: np.ndarray) -> None:
+        try:
+            near_hermitian_rows(stack, 0.0, "matrix")
+        except HermiticityViolation as exc:
+            raise HermiticityViolation(f"{exc}; use validate_hermitian for inputs with noise") from None
 
 
 class UnitaryMatrix(_Matrix):
-    """Square matrix with max |U*U - I| <= 1e-10, the one place where unitarity is tested."""
+    """Finite square matrix with max |U*U - I| <= 1e-10; its constructor is the one unitarity test."""
 
     __slots__ = ()
 
     @staticmethod
-    def _require(arr: np.ndarray) -> None:
-        u = arr[None]
-        if not np.abs(conj_t(u) @ u - np.eye(arr.shape[0])).max() <= _UNITARY_TOL:
+    def _require(u: np.ndarray) -> None:
+        require_finite_rows(u, "unitary")
+        if not np.abs(conj_t(u) @ u - np.eye(u.shape[-1])).max() <= _UNITARY_TOL:
             raise UnitarityViolation(f"max |U*U - I| exceeds {_UNITARY_TOL}")
 
 
@@ -131,7 +131,7 @@ class EnsembleSpec:
         object.__setattr__(self, "kind", parse_ensemble_kind(self.kind))
         require_positive_int(self.n, "n")
         require_seed(self.seed)
-        if not (is_real(self.scale) and np.isfinite(self.scale) and self.scale > 0):
+        if not (is_real(self.scale) and 0 < self.scale < np.inf):  # np.isfinite refuses an int beyond int64
             raise ValueError(f"scale must be a finite real > 0, got {self.scale!r}")
         if self.kind == "diag" and not np.isfinite(2.0 * self.scale):
             # numpy's uniform draw needs the width of [-scale, scale] to be finite
@@ -149,36 +149,38 @@ def parse_ensemble_kind(kind: str) -> str:
 def validate_hermitian(entries, tol: float) -> HermitianMatrix:
     """Accept a near-Hermitian array and return it exactly conjugate-symmetric.
 
-    `near_hermitian_rows` and `symmetrized` on a batch of one: M must be finite
-    with max |M - M*| <= tol * max(1, max |M|), and becomes M/2 + M*/2, except
-    that it keeps its bits (subnormals and signed zeros too) when max |M - M*|
-    is 0.  Raises NotSquareError, NonFiniteInput, HermiticityViolation, or
-    TypeError for non-numeric entries.
+    An exactly Hermitian M passes the constructor's rule in one pass and keeps
+    its bits, subnormals and signed zeros too.  Any other M must be finite with
+    max |M - M*| <= tol * max(1, max |M|) and becomes `symmetrized` M/2 + M*/2.
+    Raises NotSquareError, NonFiniteInput, HermiticityViolation or TypeError.
     """
     require_tol(tol)
-    arr = _as_square(entries, "validate_hermitian")[None]
-    exact = near_hermitian_rows(arr, tol, "matrix")[0] == 0
-    return HermitianMatrix((arr if exact else symmetrized(arr))[0])
+    arr = _as_square(entries, "validate_hermitian")
+    try:
+        return HermitianMatrix(arr)
+    except HermiticityViolation:  # finite but not exact: the tolerance decides
+        pass
+    near_hermitian_rows(arr[None], tol, "matrix")
+    return HermitianMatrix(symmetrized(arr[None])[0])
 
 
-def near_hermitian_rows(stack: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """max |M - M*| of each M of a (T, n, n) stack; the one rule for near-Hermitian input.
+def near_hermitian_rows(stack: np.ndarray, tol: float, what: str) -> None:
+    """The one Hermiticity rule, for each M of a (T, n, n) stack; tol 0 is the exact rule.
 
     Each M must be finite (`checks.require_finite_rows`) and have max |M - M*|
-    <= tol * max(1, max |M|); the first that is not raises NonFiniteInput or
-    HermiticityViolation with its index as `row`.
+    <= tol * max(1, max |M|), which at tol 0 means M == M* exactly; the first
+    that is not raises NonFiniteInput or HermiticityViolation with its index as `row`.
     """
     require_finite_rows(stack, what)
     with np.errstate(over="ignore"):  # M - M* of a finite M far from Hermitian can overflow
         residual = np.abs(stack - conj_t(stack)).max(axis=(1, 2))
-        bound = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        bound = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2))) if tol else np.zeros_like(residual)
     ok = residual <= bound
     if not ok.all():
         row = int(ok.argmin())
         raise at_row(HermiticityViolation(
             f"{what} is not Hermitian: max |M - M*| = {residual[row]:.3e} exceeds {bound[row]:.3e} (tol={tol:g})"
         ), row)
-    return residual
 
 
 def symmetrized(stack: np.ndarray) -> np.ndarray:
@@ -393,8 +395,7 @@ def random_hermitian(spec: EnsembleSpec) -> HermitianMatrix:
 def random_vector(spec: EnsembleSpec) -> np.ndarray:
     """Length-n draw from the ensemble's diagonal-entry law.
 
-    gue/goe give i.i.d. N(0, scale^2); diag gives i.i.d. uniform on
-    [-scale, scale].  Used by campaigns that need a vector per trial.
+    gue/goe give i.i.d. N(0, scale^2); diag gives i.i.d. uniform on [-scale, scale].
     """
     return vector_stack(spec.kind, spec.n, spec.scale, _fresh(spec.seed))[0]
 
@@ -415,16 +416,15 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of every matrix in a (T, n, n) stack, in one solver call.
 
     With `vectors`, returns (eigenvalues, eigenvectors) as `np.linalg.eigh`
-    does.  Each matrix must be finite (`checks.require_finite_rows`) and
-    exactly conjugate-symmetric, the invariant of `HermitianMatrix`; near-
-    Hermitian input is made exact by `symmetrized` first.  The first matrix
-    that is not raises NonFiniteInput or HermiticityViolation with its index
-    as the error's `row`, as does a ConvergenceFailure, and a NonFiniteResult
-    for the first matrix whose eigenvalues overflow.
+    does.  It tests finiteness only, before and after the solve (A + B of finite
+    A and B can overflow): the first matrix with a NaN or an infinity raises
+    NonFiniteInput, the first whose eigenvalues overflow NonFiniteResult, with
+    its index as `row`, as does a ConvergenceFailure.  The solvers read one
+    triangle, so exact conjugate symmetry is the caller's guarantee: it holds for
+    `HermitianMatrix` entries, `hermitian_stack`, `symmetrized`, `hessian_rows`,
+    `diagonal_stack`, and sums, real multiples and concatenations of these.
     """
     require_finite_rows(stack, "matrix")
-    require_rows((stack == conj_t(stack)).all(axis=(1, 2)), HermiticityViolation,
-                 "entries are not exactly conjugate-symmetric")
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
         result = solve(stack)

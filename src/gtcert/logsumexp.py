@@ -198,7 +198,6 @@ def psd_certify(m: HermitianMatrix, tol: float | None = None) -> PsdCertificate:
 
     Passes iff the minimum eigenvalue is >= -tol; nullspace_dim counts
     eigenvalues with |w| <= tol.  Default tol is 1e-10 * max(1, max |entry|).
-    A NaN or infinite entry raises NonFiniteInput, as in `stacked_spectrum`.
     """
     w = stacked_spectrum(m.entries[None])[0]
     if tol is None:

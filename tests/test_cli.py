@@ -125,10 +125,15 @@ class TestMatrixIO:
         '{"n": 1, "re": [[1e999]]}',
         '{"n": 1, "re": [[0.0]], "im": [[-Infinity]]}',
     ])
-    def test_non_finite_entries(self, text):
+    def test_non_finite_entries(self, text, tmp_path, capsys):
         # reported as such, not as a NaN or infinite Hermiticity residual
         with pytest.raises(NonFiniteInput):
             loads_matrix(text)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert main(["eval", "--fn", "lse", "--matrix", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_entries_near_the_double_limit_load(self):
         # (M + M*)/2 overflowed to inf and failed the exact-symmetry check
@@ -414,8 +419,13 @@ class TestUsageErrors:
         assert main([]) == 2
 
     def test_seed_out_of_range(self, capsys):
-        assert main(["verify-gt", "--seed", str(2**64)]) == 2
-        assert main(["verify-gt", "--seed", "-1"]) == 2
+        # the range is checks.require_seed's, and its message is the usage error
+        for seed, message in ((str(2**64), "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+                              ("-1", "seed must be an unsigned 64-bit integer, got -1"),
+                              ("1.5", "invalid literal for int() with base 10: '1.5'")):
+            assert main(["verify-gt", "--seed", seed]) == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and f"argument --seed: {message}" in errors[0], errors
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gtcert import (
     DimensionMismatch,
@@ -31,14 +31,19 @@ from gtcert import (
 from gtcert.checks import quiet_rows
 from gtcert.gt import CHECKS, derive_seeds
 from gtcert.hermitian import (
+    ENSEMBLE_KINDS,
+    conj_t,
+    diagonal_stack,
     generators,
     haar_stack,
     hermitian_stack,
     parse_ensemble_kind,
     seed_words,
     stacked_spectrum,
+    symmetrized,
     vector_stack,
 )
+from gtcert.logsumexp import hessian_rows
 from gtcert.spectral import davis_restriction_rows, unitary_invariance_rows
 from oracles import expm_taylor
 
@@ -60,6 +65,12 @@ _HADAMARD = np.full((4, 2, 2), 2.0 ** -0.5) * [[1.0, 1.0], [1.0, -1.0]]
 # evaluators run under quiet_rows, as campaigns run them
 FINITENESS_SITES = [
     ("validate_hermitian", lambda: validate_hermitian([[1.0, 0.0], [0.0, math.nan]], 1e-10), 0),
+    # the exact constructor called a NaN a HermiticityViolation (NaN != NaN)
+    # and accepted an infinity, which only stacked_spectrum refused later
+    ("HermitianMatrix NaN", lambda: HermitianMatrix([[1.0, 0.0], [0.0, math.nan]]), 0),
+    ("HermitianMatrix +inf", lambda: HermitianMatrix([[math.inf]]), 0),
+    ("HermitianMatrix -inf off the diagonal", lambda: HermitianMatrix([[0.0, -math.inf], [-math.inf, 0.0]]), 0),
+    ("UnitaryMatrix NaN", lambda: UnitaryMatrix([[math.nan]]), 0),
     ("lse", lambda: lse([0.0, -math.inf]), 0),
     ("stacked_spectrum", lambda: stacked_spectrum(bad_rows((3, 3))), 1),
     ("unitary_invariance_rows A",
@@ -118,7 +129,8 @@ class TestValidateHermitian:
         with pytest.raises(ValueError):
             validate_hermitian(np.eye(2), -1.0)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, "1e-10", True])
+    # 10**400, an int no float holds, raised OverflowError
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, "1e-10", True, 10**400])
     def test_tol_must_be_a_finite_real(self, tol):
         # tol=inf accepted [[0, 1], [5, 0]] and returned the off-diagonal 3
         with pytest.raises(ValueError):
@@ -143,6 +155,14 @@ class TestHermitianMatrix:
         m = np.array([[1.0, 1e-15j], [0.0, 1.0]])
         with pytest.raises(HermiticityViolation):
             HermitianMatrix(m)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_exact_constructor_rejects_one_sided_entry(self, dtype):
+        # stacked_spectrum does not test symmetry (the solver reads one
+        # triangle), so the constructor is where this matrix must stop
+        with pytest.raises(HermiticityViolation, match="use validate_hermitian") as info:
+            HermitianMatrix(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=dtype))
+        assert info.value.row == 0
 
     def test_entries_read_only(self):
         a = gue(3, 5)
@@ -291,11 +311,19 @@ class TestEnsembles:
             dict(kind="gue", n=2, scale=True, seed=0),
             dict(kind="gue", n=2, scale="1", seed=0),
             dict(kind="gue", n=2, scale=1j, seed=0),
+            # an int no float holds; numpy's isfinite raised TypeError
+            dict(kind="gue", n=2, scale=10**400, seed=0),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EnsembleSpec(**kwargs)
+
+    def test_int_scale_beyond_int64(self):
+        # numpy's isfinite raised TypeError on any int beyond int64
+        for kind in ENSEMBLE_KINDS:
+            np.testing.assert_array_equal(random_hermitian(EnsembleSpec(kind, 3, 10**20, 4)).entries,
+                                          random_hermitian(EnsembleSpec(kind, 3, 1e20, 4)).entries)
 
     def test_random_vector_laws(self):
         spec = EnsembleSpec("diag", 1000, 2.0, 9)
@@ -486,9 +514,54 @@ class TestEigh:
         with pytest.raises(NonFiniteInput) as info:
             stacked_spectrum(stack)
         assert info.value.row == 1
-        exact = np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
-        with pytest.raises(HermiticityViolation):
-            stacked_spectrum(exact)
+
+
+class TestProducersAreExact:
+    """Every stack that reaches `stacked_spectrum` is exactly conjugate-symmetric by construction.
+
+    `stacked_spectrum` does not test symmetry, since the solvers read one
+    triangle; this pins the producers of its input instead, for draws as the
+    campaigns make them.
+    """
+
+    @given(
+        st.sampled_from(ENSEMBLE_KINDS),
+        st.sampled_from(ENSEMBLE_KINDS),
+        st.sampled_from([1, 2, 8, 64]),
+        st.floats(min_value=0.0, max_value=150.0),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example("gue", "goe", 64, 0.0, 0, 0.5)
+    @example("gue", "gue", 64, 150.0, 2**64 - 1, 0.3)
+    @example("diag", "gue", 8, 150.0, 7, 1.0)
+    def test_every_producer(self, kind, kind_b, n, log_scale, seed, t):
+        scale = 10.0 ** log_scale
+        trials = 4 if n == 64 else 16
+
+        def rngs(stream):
+            return generators(seed_words(derive_seeds(seed, np.arange(trials) + stream * trials)))
+
+        a = hermitian_stack(kind, n, scale, rngs(0))
+        b = hermitian_stack(kind_b, n, scale, rngs(1))
+        x = vector_stack(kind, n, scale, rngs(2))
+        u = haar_stack(n, rngs(3))
+        noisy = conj_t(u) @ a @ u
+        skew = scale * np.random.default_rng(seed).standard_normal((trials, n, n))
+        stacks = {
+            "hermitian_stack": a,
+            "a + b": a + b,
+            "t a + (1-t) b": t * a + (1 - t) * b,
+            "symmetrized(U* A U)": symmetrized(noisy),
+            "symmetrized(real M)": symmetrized(skew),
+            "symmetrized(complex M)": symmetrized(noisy + skew),
+            "hessian_rows": hessian_rows(x),
+            "diagonal_stack": diagonal_stack(x),
+        }
+        stacks["concatenation"] = np.concatenate(list(stacks.values()))
+        for name, stack in stacks.items():
+            assert np.isfinite(stack).all(), name
+            assert (stack == conj_t(stack)).all(), name
 
 
 class TestMatrixExp:

@@ -286,8 +286,9 @@ class TestHessianFiniteDifference:
     def test_bad_step_rejected(self):
         # h=True differentiated with step 1.0; h="1e-4" raised numpy's TypeError;
         # h=1e-170 divided by 4 h^2 = 0 (a RuntimeWarning, then a misleading
-        # HermiticityViolation) and h=1e300 by inf (an all-zero Hessian)
-        for h in (0.0, -1e-4, math.inf, math.nan, True, np.True_, "1e-4", None, 1e-170, 1e300):
+        # HermiticityViolation) and h=1e300 by inf (an all-zero Hessian);
+        # h=10**400, an int no float holds, raised OverflowError
+        for h in (0.0, -1e-4, math.inf, math.nan, True, np.True_, "1e-4", None, 1e-170, 1e300, 10**400):
             with pytest.raises(ValueError):
                 hessian_fd([1.0, 2.0], h=h)
 
