@@ -43,8 +43,8 @@ _DEFAULTS = {"dim": 8, "trials": 1000, "ensemble": "gue", "scale": 1.0, "tol": 1
 def _u64(text: str) -> int:
     try:
         require_seed(seed := int(text))
-    except ValueError as exc:  # int()'s or require_seed's; argparse prints it as a usage error
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:  # int()'s or require_seed's: argparse prints one usage error for both
+        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text!r}") from None
     return seed
 
 

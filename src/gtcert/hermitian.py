@@ -67,6 +67,14 @@ class _Matrix:
         arr.setflags(write=False)
         self._entries = arr
 
+    @classmethod
+    def _certified(cls, arr: np.ndarray):
+        """The matrix of `arr`, a new square array that the caller has just held to `_require`'s rule."""
+        out = cls.__new__(cls)
+        arr.setflags(write=False)
+        out._entries = arr
+        return out
+
     @property
     def entries(self) -> np.ndarray:
         return self._entries
@@ -83,9 +91,9 @@ class HermitianMatrix(_Matrix):
     """Immutable dense matrix whose entries are finite and equal their conjugate transpose exactly.
 
     `near_hermitian_rows` at tol 0 certifies both; near-Hermitian input goes
-    through `validate_hermitian` instead.  The type does no arithmetic: checks
-    combine the `entries` of stacked matrices, and promote a real matrix where
-    they combine it with a complex one.
+    through `validate_hermitian`, which applies the same rule at its tolerance.
+    The type does no arithmetic: checks combine the `entries` of stacked
+    matrices, and promote a real matrix where they combine it with a complex one.
     """
 
     __slots__ = ()
@@ -149,38 +157,36 @@ def parse_ensemble_kind(kind: str) -> str:
 def validate_hermitian(entries, tol: float) -> HermitianMatrix:
     """Accept a near-Hermitian array and return it exactly conjugate-symmetric.
 
-    An exactly Hermitian M passes the constructor's rule in one pass and keeps
-    its bits, subnormals and signed zeros too.  Any other M must be finite with
-    max |M - M*| <= tol * max(1, max |M|) and becomes `symmetrized` M/2 + M*/2.
-    Raises NotSquareError, NonFiniteInput, HermiticityViolation or TypeError.
+    One pass of `near_hermitian_rows`: M must be finite with max |M - M*| <=
+    tol * max(1, max |M|).  It keeps its bits (subnormals and signed zeros too)
+    when M == M*, and otherwise becomes `symmetrized` M/2 + M*/2, exact by
+    construction.  Raises NotSquareError, NonFiniteInput, HermiticityViolation or TypeError.
     """
     require_tol(tol)
-    arr = _as_square(entries, "validate_hermitian")
-    try:
-        return HermitianMatrix(arr)
-    except HermiticityViolation:  # finite but not exact: the tolerance decides
-        pass
-    near_hermitian_rows(arr[None], tol, "matrix")
-    return HermitianMatrix(symmetrized(arr[None])[0])
+    arr = _as_square(entries, "validate_hermitian")[None]
+    exact = near_hermitian_rows(arr, tol, "matrix")[0] == 0
+    return HermitianMatrix._certified((arr if exact else symmetrized(arr))[0])
 
 
-def near_hermitian_rows(stack: np.ndarray, tol: float, what: str) -> None:
-    """The one Hermiticity rule, for each M of a (T, n, n) stack; tol 0 is the exact rule.
+def near_hermitian_rows(stack: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """max |M - M*| of each M of a (T, n, n) stack; the one Hermiticity rule, whose tol 0 is the exact rule.
 
     Each M must be finite (`checks.require_finite_rows`) and have max |M - M*|
     <= tol * max(1, max |M|), which at tol 0 means M == M* exactly; the first
     that is not raises NonFiniteInput or HermiticityViolation with its index as `row`.
     """
     require_finite_rows(stack, what)
-    with np.errstate(over="ignore"):  # M - M* of a finite M far from Hermitian can overflow
+    with np.errstate(over="ignore"):  # M - M* of a finite M far from Hermitian, and the bound, can overflow
         residual = np.abs(stack - conj_t(stack)).max(axis=(1, 2))
-        bound = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2))) if tol else np.zeros_like(residual)
+        # an exact stack, the usual input, passes at any tol without the pass that computes max |M|
+        bound = tol * np.maximum(1.0, np.abs(stack).max(axis=(1, 2))) if residual.any() else residual
     ok = residual <= bound
     if not ok.all():
         row = int(ok.argmin())
         raise at_row(HermiticityViolation(
             f"{what} is not Hermitian: max |M - M*| = {residual[row]:.3e} exceeds {bound[row]:.3e} (tol={tol:g})"
         ), row)
+    return residual
 
 
 def symmetrized(stack: np.ndarray) -> np.ndarray:
@@ -330,7 +336,7 @@ def _normal_stack(rngs, shape: tuple, scale: float = 1.0) -> np.ndarray:
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
     with np.errstate(over="ignore"):  # an overflowing draw is a NonFiniteInput later
-        out *= scale
+        out *= float(scale)  # numpy 1 makes an int beyond 64 bits an object array, which *= refuses
     out += 0.0
     return out
 
@@ -416,13 +422,12 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of every matrix in a (T, n, n) stack, in one solver call.
 
     With `vectors`, returns (eigenvalues, eigenvectors) as `np.linalg.eigh`
-    does.  It tests finiteness only, before and after the solve (A + B of finite
-    A and B can overflow): the first matrix with a NaN or an infinity raises
-    NonFiniteInput, the first whose eigenvalues overflow NonFiniteResult, with
-    its index as `row`, as does a ConvergenceFailure.  The solvers read one
-    triangle, so exact conjugate symmetry is the caller's guarantee: it holds for
-    `HermitianMatrix` entries, `hermitian_stack`, `symmetrized`, `hessian_rows`,
-    `diagonal_stack`, and sums, real multiples and concatenations of these.
+    does.  It tests finiteness only, of the stack and of the eigenvalues (A + B
+    can overflow): the first bad matrix raises NonFiniteInput or NonFiniteResult
+    with its index as `row`, as does a ConvergenceFailure.  The solvers read one
+    triangle, so exact conjugate symmetry is the caller's guarantee: `HermitianMatrix`
+    entries, `hermitian_stack`, `symmetrized`, `hessian_rows`, `diagonal_stack`,
+    and sums, real multiples and concatenations of these have it.
     """
     require_finite_rows(stack, "matrix")
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh

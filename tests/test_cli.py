@@ -419,10 +419,10 @@ class TestUsageErrors:
         assert main([]) == 2
 
     def test_seed_out_of_range(self, capsys):
-        # the range is checks.require_seed's, and its message is the usage error
-        for seed, message in ((str(2**64), "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
-                              ("-1", "seed must be an unsigned 64-bit integer, got -1"),
-                              ("1.5", "invalid literal for int() with base 10: '1.5'")):
+        # the range is checks.require_seed's; a seed out of range or not an integer is one usage error
+        for seed, message in ((str(2**64), "seed must be an unsigned 64-bit integer, got '18446744073709551616'"),
+                              ("-1", "seed must be an unsigned 64-bit integer, got '-1'"),
+                              ("1.5", "seed must be an unsigned 64-bit integer, got '1.5'")):
             assert main(["verify-gt", "--seed", seed]) == 2
             errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
             assert len(errors) == 1 and f"argument --seed: {message}" in errors[0], errors

@@ -28,6 +28,7 @@ from gtcert import (
     random_vector,
     validate_hermitian,
 )
+from gtcert import hermitian
 from gtcert.checks import quiet_rows
 from gtcert.gt import CHECKS, derive_seeds
 from gtcert.hermitian import (
@@ -139,6 +140,17 @@ class TestValidateHermitian:
     def test_one_by_one(self):
         h = validate_hermitian([[3.0]], 0.0)
         assert h.n == 1 and h.entries[0, 0] == 3.0
+
+    @pytest.mark.parametrize("entries", [[[1.0, 2.0], [2.0, 3.0]], [[1.0, 2.0 + 1e-14], [2.0, 3.0]]])
+    def test_rule_runs_once(self, entries, monkeypatch):
+        # a second pass, the constructor's, over the exact or symmetrized
+        # result nearly doubled the time taken on near-Hermitian input
+        tols = []
+        rule = hermitian.near_hermitian_rows
+        monkeypatch.setattr(hermitian, "near_hermitian_rows", lambda *args: tols.append(args[1]) or rule(*args))
+        h = validate_hermitian(entries, 1e-10)
+        assert tols == [1e-10]
+        assert np.array_equal(h.entries, h.entries.conj().T) and not h.entries.flags.writeable
 
     @pytest.mark.parametrize("entries", [
         [[5e-324]],                                      # M/2 + M*/2 gave 0.0
