@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _campaign_flags(p, matrices=single is not None)
         if takes_fn:
-            p.add_argument("--fn", default="lse", metavar="NAME",
+            p.add_argument("--fn", default=None, metavar="NAME",
                            help="built-in function to lift (default lse)")
         p.set_defaults(run=functools.partial(_cmd_campaign, campaigns=campaigns, single=single))
 

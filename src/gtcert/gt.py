@@ -225,7 +225,7 @@ def _matrix_entries(n: int) -> int:
 
 
 def _hessian_entries(n: int) -> int:
-    # the real Hessian, its conjugate for the Hermiticity guard and the solver's copy
+    # the real Hessian, the outer product `hessian_rows` forms it from, and the solver's copy
     return 3 * n * n
 
 
@@ -285,9 +285,12 @@ class CampaignConfig:
     """What to check, over which ensemble, how many times, at what tolerance.
 
     `fn` names the built-in that MIDPOINT_CONVEXITY, UNITARY_INVARIANCE and
-    DAVIS_RESTRICTION trials lift (default lse, the central object).  The
-    other kinds, GT_WEAK, GT_STRONG, HESSIAN_PSD and HESSIAN_FD_MATCH, check
-    lse itself and refuse an `fn`.
+    DAVIS_RESTRICTION trials lift.  This class is the one place that defaults
+    it: those kinds store lse for None, and every name as `builtin(fn).name`
+    (" lse " reads lse, pnorm:2.0 reads pnorm:2).  The other kinds, GT_WEAK,
+    GT_STRONG, HESSIAN_PSD and HESSIAN_FD_MATCH, check lse itself and refuse
+    an `fn`.  tol is stored as a float, so configs that compare equal write
+    equal reports.
     `parallel` is accepted for compatibility and has no effect: every
     campaign runs the same chunked, batched schedule, and the report never
     depends on it.
@@ -307,10 +310,11 @@ class CampaignConfig:
             )
         require_positive_int(self.trials, "trials")
         require_tol(self.tol)
-        if self.fn is not None:
-            if self.check_kind not in LIFTING_KINDS:
-                raise ValueError(f"{self.check_kind} lifts no function; fn must be None, got {self.fn!r}")
-            builtin(self.fn)  # fail fast on unknown names
+        object.__setattr__(self, "tol", float(self.tol) + 0.0)  # + 0.0 makes -0.0 read 0.0
+        if self.check_kind in LIFTING_KINDS:
+            object.__setattr__(self, "fn", builtin("lse" if self.fn is None else self.fn).name)
+        elif self.fn is not None:
+            raise ValueError(f"{self.check_kind} lifts no function; fn must be None, got {self.fn!r}")
 
 
 @dataclass(frozen=True)
@@ -326,9 +330,11 @@ class CampaignReport:
     wall_time_s: float
 
     def to_json_dict(self) -> dict:
+        """The report as JSON fields; `fn` follows `check_kind` in the reports of the kinds that lift one."""
         ens = self.config.ensemble
         return {
             "check_kind": self.config.check_kind,
+            **({} if self.config.fn is None else {"fn": self.config.fn}),
             "ensemble": {
                 "kind": ens.kind,
                 "n": ens.n,
@@ -402,7 +408,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     t0 = time.perf_counter()
     ens, tol = config.ensemble, config.tol
     check = CHECKS[config.check_kind]
-    f = builtin(config.fn or "lse")
+    f = None if config.fn is None else builtin(config.fn)
     violations = 0
     worst_slack = worst_seed = None
     for start, seeds, words in _chunks(

@@ -127,7 +127,8 @@ class EnsembleSpec:
     goe    the same with zero imaginary parts
     diag   diagonal entries uniform on [-scale, scale], off-diagonal zero
 
-    The seed is a 64-bit unsigned integer and fully determines the draw.
+    The scale is stored as a float.  The seed is a 64-bit unsigned integer
+    and fully determines the draw.
     """
 
     kind: str
@@ -141,6 +142,7 @@ class EnsembleSpec:
         require_seed(self.seed)
         if not (is_real(self.scale) and 0 < self.scale < np.inf):  # np.isfinite refuses an int beyond int64
             raise ValueError(f"scale must be a finite real > 0, got {self.scale!r}")
+        object.__setattr__(self, "scale", float(self.scale))  # 2 and 2.0 draw and report alike
         if self.kind == "diag" and not np.isfinite(2.0 * self.scale):
             # numpy's uniform draw needs the width of [-scale, scale] to be finite
             raise ValueError(f"diag scale must be at most {np.finfo(float).max / 2:.6g}, got {self.scale!r}")
@@ -336,7 +338,7 @@ def _normal_stack(rngs, shape: tuple, scale: float = 1.0) -> np.ndarray:
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
     with np.errstate(over="ignore"):  # an overflowing draw is a NonFiniteInput later
-        out *= float(scale)  # numpy 1 makes an int beyond 64 bits an object array, which *= refuses
+        out *= scale
     out += 0.0
     return out
 

@@ -22,8 +22,7 @@ import numpy as np
 from .checks import (CheckResult, first_result, is_real, quiet_rows, require_finite_rows,
                      require_positive_int, require_seed)
 from .errors import DimensionMismatch
-from .hermitian import (HermitianMatrix, UnitaryMatrix, conj_t, diagonal_stack, near_hermitian_rows,
-                        stacked_spectrum, symmetrized)
+from .hermitian import HermitianMatrix, UnitaryMatrix, conj_t, diagonal_stack, stacked_spectrum, symmetrized
 from .logsumexp import _as_vector, lse_rows
 
 
@@ -112,13 +111,12 @@ def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.nda
 
     Each A must be finite (`checks.require_finite_rows`); unitarity is not
     tested here, since every U comes from a `UnitaryMatrix` or from
-    `haar_stack`.  Each U* A U must be finite and Hermitian within
-    1e-10 * max(1, max |entry|) (`near_hermitian_rows`) before `symmetrized`
-    makes it exact.
+    `haar_stack`.  Each U* A U must be finite; it is Hermitian in exact
+    arithmetic, and `symmetrized` makes it exactly so.
     """
     require_finite_rows(a, "matrix")  # an infinite A is named, not the NaN it leaves in U* A U
     m = conj_t(u) @ a @ u
-    near_hermitian_rows(m, 1e-10, "U* A U")  # a finite A can still make U* A U overflow
+    require_finite_rows(m, "U* A U")  # a finite A can still make U* A U overflow
     values = f.rows(stacked_spectrum(np.concatenate([a, symmetrized(m)])))
     reference, rotated = np.split(values, 2)
     return rotated, reference, _deviation(rotated, reference)
@@ -191,7 +189,8 @@ def _pnorm(p: float) -> SymmetricScalarFunction:
         with np.errstate(over="ignore"):
             return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
 
-    return SymmetricScalarFunction(f"pnorm:{p:g}", rows)
+    # the shortest spelling that reads back as p, so that builtin(name) is this function again
+    return SymmetricScalarFunction(f"pnorm:{repr(p).removesuffix('.0')}", rows)
 
 
 def _reduction(name: str, reduce) -> SymmetricScalarFunction:

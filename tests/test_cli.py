@@ -162,6 +162,13 @@ class TestEvalCommand:
         assert doc["fn"] == "pnorm:2"
         assert doc["value"] == pytest.approx(5.0, abs=1e-12)
 
+    def test_out_document_names_the_exponent_in_full(self, tmp_path):
+        # the name kept 6 significant digits: pnorm:2.12346, another function
+        path = write(tmp_path / "a.json", {"n": 2, "re": [[3.0, 0.0], [0.0, 4.0]]})
+        out = tmp_path / "r.json"
+        assert main(["eval", "--fn", "pnorm:2.123456789", "--matrix", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["fn"] == "pnorm:2.123456789"
+
     def test_unknown_function_is_usage_error(self, tmp_path, capsys):
         path = write(tmp_path / "a.json", ZERO_2)
         assert main(["eval", "--fn", "median", "--matrix", path]) == 2
@@ -237,10 +244,26 @@ class TestCampaignCommands:
     def test_davis_check_with_named_function(self, tmp_path):
         out = tmp_path / "r.json"
         code = main(["davis-check", "--dim", "4", "--trials", "30", "--seed", "5",
-                     "--fn", "pnorm:2", "--out", str(out)])
+                     "--fn", "pnorm:2.0", "--out", str(out)])
         assert code == 0
         docs = json.loads(out.read_text())
         assert [d["check_kind"] for d in docs] == ["UNITARY_INVARIANCE", "DAVIS_RESTRICTION"]
+        assert [d["fn"] for d in docs] == ["pnorm:2", "pnorm:2"]  # the canonical name
+
+    @pytest.mark.parametrize("command, fns", [
+        ("davis-check", ["lse", "lse"]),
+        ("verify-convexity", ["lse"]),
+        ("verify-gt", [None]),
+        ("hessian-check", [None, None]),
+    ])
+    def test_reports_name_the_lifted_function(self, tmp_path, command, fns):
+        # a report without --fn names lse where its kind lifts a function,
+        # and has no "fn" where it checks lse itself
+        out = tmp_path / "r.json"
+        assert main([command, "--dim", "3", "--trials", "10", "--seed", "5", "--out", str(out)]) == 0
+        docs = json.loads(out.read_text())
+        docs = docs if isinstance(docs, list) else [docs]
+        assert [d.get("fn") for d in docs] == fns
 
     @pytest.mark.parametrize("command, configs", [
         ("verify-gt", [("GT_WEAK", 1e-9, None)]),

@@ -348,23 +348,46 @@ PAIR_CHECKS = {
 
 
 def replay_slack(cfg, trial_seed):
-    """Slack of one trial, re-drawn from its seed and run through the public single check."""
+    """Slack of one trial, re-drawn from its seed and run through the public single check.
+
+    The lifting kinds check the built-in that `cfg.fn` names.
+    """
     ens, tol, kind = cfg.ensemble, cfg.tol, cfg.check_kind
 
     def spec(i):
         return dataclasses.replace(ens, seed=derive_seed(trial_seed, i))
 
+    if kind == "MIDPOINT_CONVEXITY" and cfg.fn != "lse":
+        a, b = random_hermitian(spec(0)), random_hermitian(spec(1))
+        return segment_convexity_residual(lift(builtin(cfg.fn)), a, b, 0.5)
     if kind in PAIR_CHECKS:
         return PAIR_CHECKS[kind](random_hermitian(spec(0)), random_hermitian(spec(1)), tol).slack
     if kind == "UNITARY_INVARIANCE":
         u = random_unitary(ens.n, derive_seed(trial_seed, 1))
-        return check_unitary_invariance(lift(builtin("lse")), random_hermitian(spec(0)), u, tol).slack
+        return check_unitary_invariance(lift(builtin(cfg.fn)), random_hermitian(spec(0)), u, tol).slack
     x = random_vector(spec(0))
     if kind == "DAVIS_RESTRICTION":
-        return check_davis_restriction(builtin("lse"), x, tol).slack
+        return check_davis_restriction(builtin(cfg.fn), x, tol).slack
     if kind == "HESSIAN_PSD":
         return psd_certify(lse_hessian_analytic(x), tol).min_eigenvalue
     return -float(np.max(np.abs(lse_hessian_analytic(x).entries - hessian_fd(x).entries)))
+
+
+def config_from_json(doc):
+    """The CampaignConfig that a report's JSON fields name."""
+    ens = doc["ensemble"]
+    return CampaignConfig(doc["check_kind"], EnsembleSpec(ens["kind"], ens["n"], ens["scale"], ens["seed"]),
+                          doc["trials"], doc["tol"], fn=doc.get("fn"))
+
+
+def report_bytes(cfg):
+    return json.dumps(run_campaign(cfg).to_json_dict() | {"wall_time_s": 0.0}).encode()
+
+
+# spellings of one value, which configs store in one canonical form
+SCALE_SPELLINGS = [(2, 2.0, np.float64(2.0)), (10**20, 1e20)]
+TOL_SPELLINGS = (0, 0.0, -0.0, np.float64(0.0))
+FN_SPELLINGS = [(None, "lse", " lse "), ("pnorm:2", "pnorm:2.0", " pnorm:2 ")]
 
 
 def sampled_input_is_finite(cfg):
@@ -542,6 +565,53 @@ class TestRunCampaign:
         assert list(doc["ensemble"]) == ["kind", "n", "scale", "seed"]
         json.dumps(doc)  # serializable
 
+    @pytest.mark.parametrize("kind", gt_module.LIFTING_KINDS)
+    def test_json_field_names_of_a_lifting_kind(self, kind):
+        # the report did not say which function a campaign lifted, so a max
+        # campaign read like an lse one; lse is written too
+        for fn, name in ((None, "lse"), ("max", "max"), ("pnorm:2.0", "pnorm:2")):
+            doc = run_campaign(config(kind, trials=5, fn=fn)).to_json_dict()
+            assert list(doc) == [
+                "check_kind", "fn", "ensemble", "trials", "violations", "worst_slack",
+                "worst_trial_seed", "tol", "generator_id", "wall_time_s",
+            ]
+            assert doc["fn"] == name
+
+    @settings(max_examples=40)
+    @given(
+        kind=st.sampled_from(CHECK_KINDS),
+        ensemble=st.sampled_from(["gue", "goe", "diag"]),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+        scales=st.sampled_from(SCALE_SPELLINGS).flatmap(lambda s: st.tuples(*[st.sampled_from(s)] * 2)),
+        tols=st.tuples(*[st.sampled_from(TOL_SPELLINGS)] * 2),
+        fns=st.sampled_from(FN_SPELLINGS).flatmap(lambda s: st.tuples(*[st.sampled_from(s)] * 2)),
+    )
+    @example(kind="GT_WEAK", ensemble="goe", n=2, seed=1, scales=(2, 2.0), tols=(0, -0.0), fns=(None, None))
+    @example(kind="UNITARY_INVARIANCE", ensemble="gue", n=2, seed=1, scales=(10**20, 1e20), tols=(0.0, 0),
+             fns=("pnorm:2", "pnorm:2.0"))
+    def test_equal_configs_write_equal_bytes(self, kind, ensemble, n, seed, scales, tols, fns):
+        # "scale": 2 and 2.0, "tol": 0, 0.0 and -0.0 used to be written as given
+        if kind not in gt_module.LIFTING_KINDS:
+            fns = (None, None)
+        a, b = (CampaignConfig(kind, EnsembleSpec(ensemble, n, scale, seed), 3, tol, fn=fn)
+                for scale, tol, fn in zip(scales, tols, fns))
+        assert a == b and dataclasses.replace(a) == a  # replace re-runs the normalization
+        assert report_bytes(a) == report_bytes(b) == report_bytes(dataclasses.replace(b))
+
+    @pytest.mark.parametrize("kind", gt_module.LIFTING_KINDS)
+    @pytest.mark.parametrize("fn", ["lse", "max", "pnorm:2.5"])
+    def test_report_alone_replays(self, kind, fn):
+        # over more than one chunk, the config that a report's JSON names
+        # replays its worst trial to worst_slack bit for bit
+        for ensemble in ("gue", "goe", "diag"):
+            trials = gt_module._chunk_trials(gt_module.CHECKS[kind], 3) + 6
+            report = run_campaign(config(kind, n=3, trials=trials, kind_ens=ensemble, fn=fn))
+            doc = json.loads(json.dumps(report.to_json_dict()))
+            rebuilt = config_from_json(doc)
+            assert rebuilt == report.config and rebuilt.fn == fn
+            assert replay_slack(rebuilt, doc["worst_trial_seed"]) == doc["worst_slack"], (ensemble, kind)
+
     def test_goe_and_diag_ensembles(self):
         for kind_ens in ("goe", "diag"):
             report = run_campaign(config("GT_WEAK", trials=20, kind_ens=kind_ens))
@@ -560,7 +630,7 @@ class TestRunCampaign:
         report = run_campaign(config("MIDPOINT_CONVEXITY", n=3, trials=70, fn=fn))
         ens, seed = report.config.ensemble, report.worst_trial_seed
         a, b = (random_hermitian(dataclasses.replace(ens, seed=derive_seed(seed, k))) for k in (0, 1))
-        func = lift(builtin(fn or "lse"))
+        func = lift(builtin(report.config.fn))
         assert segment_convexity_residual(func, a, b, 0.5) == report.worst_slack
         assert (report.violations > 0) == (fn == "min")
 
@@ -614,8 +684,9 @@ class TestRunCampaign:
             config("GT_WEAK", tol=math.inf)
         with pytest.raises(ValueError):
             config("GT_WEAK", tol=True)  # read as 1.0, and written as "tol": true
-        with pytest.raises(ValueError):
-            config("GT_WEAK", fn="median")
+        for fn in ("median", "", "pnorm:0.5"):
+            with pytest.raises(ValueError):
+                config("MIDPOINT_CONVEXITY", fn=fn)
         # fn was ignored by the kinds that check lse itself: the report read like
         # a check of max that never ran
         for kind in ("GT_WEAK", "GT_STRONG", "HESSIAN_PSD", "HESSIAN_FD_MATCH"):

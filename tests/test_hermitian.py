@@ -332,8 +332,11 @@ class TestEnsembles:
             EnsembleSpec(**kwargs)
 
     def test_int_scale_beyond_int64(self):
-        # numpy's isfinite raised TypeError on any int beyond int64
+        # numpy's isfinite raised TypeError on any int beyond int64; the spec
+        # stores the float, so the samplers never see the int, on any numpy
         for kind in ENSEMBLE_KINDS:
+            scale = EnsembleSpec(kind, 3, 10**20, 4).scale
+            assert type(scale) is float and scale == 1e20
             np.testing.assert_array_equal(random_hermitian(EnsembleSpec(kind, 3, 10**20, 4)).entries,
                                           random_hermitian(EnsembleSpec(kind, 3, 1e20, 4)).entries)
 

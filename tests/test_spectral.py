@@ -67,10 +67,24 @@ class TestBuiltins:
         assert set(builtin_names()) == {"lse", "max", "min", "sum"}
 
     def test_pnorm_parsing(self):
-        assert builtin("pnorm:2.5").name == "pnorm:2.5"
+        # each name spells p by its shortest round-trip form
+        names = {"pnorm:2": "pnorm:2", "pnorm:2.0": "pnorm:2", "pnorm:2.5": "pnorm:2.5",
+                 "pnorm:1e6": "pnorm:1000000", "pnorm:2.123456789": "pnorm:2.123456789",
+                 "pnorm:1e300": "pnorm:1e+300"}
+        assert {name: builtin(name).name for name in names} == names
         for bad in ("pnorm:0.5", "pnorm:nan", "pnorm:", "pnorm:x"):
             with pytest.raises(ValueError):
                 builtin(bad)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 2.123456789, 1e6, 1e300])
+    def test_pnorm_name_reads_back(self, p):
+        # the name kept 6 significant digits (f"{p:g}"), so pnorm:2.123456789
+        # was named pnorm:2.12346, and builtin of that name is another function
+        f = builtin(f"pnorm:{p!r}")
+        again = builtin(f.name)
+        assert again.name == f.name
+        x = np.array([[1.0, 2.0, 3.0], [0.5, -4.0, 1e-3]])
+        np.testing.assert_array_equal(again.rows(x), f.rows(x))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
