@@ -30,7 +30,9 @@ from .gt import (
     gt_weak_check,
     log_trace_exp,
     log_trace_exp_product,
+    replay,
     run_campaign,
+    trial_inputs,
 )
 from .hermitian import (
     GENERATOR_ID,

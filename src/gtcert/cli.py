@@ -146,9 +146,10 @@ def _print_report(report: CampaignReport) -> None:
     cfg = report.config
     ens = cfg.ensemble
     verdict = "PASS" if report.violations == 0 else "FAIL"
+    fn = "" if cfg.fn is None else f"fn={cfg.fn} "
     print(
-        f"{cfg.check_kind}: ensemble={ens.kind} n={ens.n} scale={ens.scale:g} "
-        f"seed={ens.seed} trials={report.trials_run} violations={report.violations} "
+        f"{cfg.check_kind}: {fn}ensemble={ens.kind} n={ens.n} scale={ens.scale!r} seed={ens.seed} "
+        f"trials={report.trials_run} tol={cfg.tol!r} violations={report.violations} "
         f"worst_slack={report.worst_slack:.6e} worst_trial_seed={report.worst_trial_seed} "
         f"[{verdict}]"
     )

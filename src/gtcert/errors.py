@@ -57,7 +57,7 @@ class MatrixParseError(Error):
 
 
 class CampaignTrialError(Error):
-    """A campaign trial raised; carries the trial seed for replay.
+    """A campaign trial raised; carries the trial seed, which `replay(config, trial_seed)` re-runs.
 
     `trial_index` is None when the failing check ran outside a campaign.
     """

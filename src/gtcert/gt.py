@@ -14,8 +14,10 @@ the master seed by the SplitMix64 finalizer (a fixed pure mixing function), so
 any trial can be replayed in isolation.  Each check kind is an entry of
 `CHECKS`: the random streams a trial draws (each seeded by its own sub-seed of
 the trial seed), and an evaluator that checks a whole chunk of stacked trials
-with one eigensolver call.  The public single checks run the same evaluators
-on a batch of one, so a replayed trial reproduces the campaign's numbers bit
+with one eigensolver call.  `trial_inputs(config, trial_seed)` draws one
+trial's streams and `replay(config, trial_seed)` checks it, both by the
+campaign's own code on a chunk of one; the public single checks run the same
+evaluators on a batch of one.  Either reproduces the campaign's numbers bit
 for bit.
 """
 
@@ -34,6 +36,7 @@ from .checks import (
     quiet_rows,
     require_finite_rows,
     require_positive_int,
+    require_seed,
     require_tol,
     slack_bound,
 )
@@ -246,7 +249,8 @@ class CheckKind:
 
     `streams[k](ensemble, generators)` draws stream k of every trial of the
     chunk as one stack; stream k of a trial is seeded by
-    `derive_seed(trial_seed, k)`.  The runner then calls
+    `derive_seed(trial_seed, k)` (`trial_inputs` returns one trial's draws, and
+    `replay` checks them).  The runner then calls
     `evaluate(f, *stacks)`, which returns (lhs, rhs, slack) arrays with one
     entry per trial; `f` is the campaign's built-in function, used by the
     kinds that lift one.  An evaluator may concatenate stacks of T trials
@@ -351,48 +355,44 @@ class CampaignReport:
         }
 
 
-def _chunks(master: int, trials: int, chunk: int, streams: int) -> Iterator[tuple]:
-    """(first trial index, trial seeds, seed words of each stream) per chunk.
+def _stream_stacks(check: CheckKind, ens: EnsembleSpec, seeds, chunk: int) -> Iterator[list]:
+    """The input stacks of the trials with seeds `seeds`, `chunk` trials at a time.
 
-    The words are a (streams, trials in the chunk, 4) array: row i of stream
-    k is `seed_words` of `derive_seed(trial_seed_i, k)`.  Seeds and words are
-    derived a block of whole chunks, at most `_SEED_BLOCK` trials, at a
-    time, every stream of the block in one `seed_words` call.
+    Stream k of a trial is drawn from `derive_seed(trial_seed, k)`; the seed
+    words of every stream of every trial come from one `seed_words` call.
     """
+    streams = len(check.streams)
+    words = seed_words(derive_seeds(seeds, np.arange(streams)[:, None]).ravel()).reshape(streams, -1, 4)
+    for lo in range(0, len(seeds), chunk):
+        yield [draw(ens, generators(w[lo:lo + chunk])) for draw, w in zip(check.streams, words)]
+
+
+def _chunks(check: CheckKind, ens: EnsembleSpec, trials: int, chunk: int) -> Iterator[tuple]:
+    """(trial indices, trial seeds, input stacks) per chunk, seeds derived at most `_SEED_BLOCK` at a time."""
     block = chunk * (_SEED_BLOCK // chunk)
     for first in range(0, trials, block):
-        seeds = derive_seeds(master, np.arange(first, min(first + block, trials)))
-        stream_seeds = derive_seeds(seeds, np.arange(streams)[:, None])
-        words = seed_words(stream_seeds.ravel()).reshape(streams, -1, 4)
+        seeds = derive_seeds(ens.seed, np.arange(first, min(first + block, trials)))
+        stacks = _stream_stacks(check, ens, seeds, chunk)
         seeds = seeds.tolist()
-        for lo in range(0, len(seeds), chunk):
-            yield first + lo, seeds[lo:lo + chunk], words[:, lo:lo + chunk]
+        for lo, chunk_stacks in zip(range(0, len(seeds), chunk), stacks):
+            yield range(first, trials)[lo:lo + chunk], seeds[lo:lo + chunk], chunk_stacks
 
 
-def _check_chunk(
-    check: CheckKind,
-    f: SymmetricScalarFunction,
-    ens: EnsembleSpec,
-    start: int,
-    seeds: list,
-    words: np.ndarray,
-):
+def _check_chunk(check: CheckKind, f: SymmetricScalarFunction, stacks: list, indices, seeds: list):
     """(lhs, rhs, slack) arrays of one chunk of trials, all finite.
 
-    `words[k]` holds the seed words of stream k of each trial.  Any error,
-    and any non-finite value, becomes a CampaignTrialError naming the trial
-    it belongs to.
+    Any error, and any non-finite value, becomes a CampaignTrialError naming
+    the trial it belongs to by its entries of `indices` and `seeds`.
     """
-    stacks = [draw(ens, generators(w)) for draw, w in zip(check.streams, words)]
     try:
         lhs, rhs, slack = quiet_rows(check.evaluate, f, *stacks)
     except Error as exc:
         row = exc.row % len(seeds)
-        raise CampaignTrialError(start + row, seeds[row], exc) from exc
+        raise CampaignTrialError(indices[row], seeds[row], exc) from exc
     finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(slack)
     if not finite.all():
         row = int(finite.argmin())
-        raise non_finite_trial(start + row, seeds[row], lhs[row], rhs[row], slack[row])
+        raise non_finite_trial(indices[row], seeds[row], lhs[row], rhs[row], slack[row])
     return lhs, rhs, slack
 
 
@@ -411,10 +411,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     f = None if config.fn is None else builtin(config.fn)
     violations = 0
     worst_slack = worst_seed = None
-    for start, seeds, words in _chunks(
-        ens.seed, config.trials, _chunk_trials(check, ens.n), len(check.streams)
-    ):
-        lhs, rhs, slack = _check_chunk(check, f, ens, start, seeds, words)
+    for indices, seeds, stacks in _chunks(check, ens, config.trials, _chunk_trials(check, ens.n)):
+        lhs, rhs, slack = _check_chunk(check, f, stacks, indices, seeds)
         violations += int(np.count_nonzero(slack < -slack_bound(rhs, tol)))
         row = int(slack.argmin())
         if worst_slack is None or slack[row] < worst_slack:
@@ -428,3 +426,27 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         generator_id=GENERATOR_ID,
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def trial_inputs(config: CampaignConfig, trial_seed: int) -> list:
+    """The input arrays of one trial of `config`'s campaign, one per stream of its `CHECKS` entry.
+
+    The campaign's own code draws them, so they hold the bits it checked.
+    """
+    require_seed(trial_seed)
+    (stacks,) = _stream_stacks(CHECKS[config.check_kind], config.ensemble, [trial_seed], 1)
+    return [stack[0] for stack in stacks]
+
+
+def replay(config: CampaignConfig, trial_seed: int) -> CheckResult:
+    """The check of one trial of `config`'s campaign, evaluated as the campaign evaluates it.
+
+    `slack` has the campaign's bits, so `replay(report.config,
+    report.worst_trial_seed).slack == report.worst_slack`, and `passed` is
+    False exactly for a trial the campaign counts as a violation.  A trial
+    that errors raises the campaign's CampaignTrialError, with `trial_index` None.
+    """
+    f = None if config.fn is None else builtin(config.fn)
+    stacks = [x[None] for x in trial_inputs(config, trial_seed)]
+    (lhs,), (rhs,), (slack,) = _check_chunk(CHECKS[config.check_kind], f, stacks, [None], [trial_seed])
+    return CheckResult(float(lhs), float(rhs), float(slack), config.tol, trial_seed)

@@ -106,6 +106,7 @@ class TestMatrixIO:
 
     @pytest.mark.parametrize("doc", [
         {"re": [[0.0]]},                                      # missing n
+        {"n": 1},                                             # missing re
         {"n": 2, "re": [[0.0]]},                              # shape mismatch
         {"n": 1, "re": [[0.0]], "im": [[0.0, 0.0]]},          # im shape mismatch
         {"n": 0, "re": []},                                   # n < 1
@@ -249,6 +250,31 @@ class TestCampaignCommands:
         docs = json.loads(out.read_text())
         assert [d["check_kind"] for d in docs] == ["UNITARY_INVARIANCE", "DAVIS_RESTRICTION"]
         assert [d["fn"] for d in docs] == ["pnorm:2", "pnorm:2"]  # the canonical name
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["davis-check", "--fn", "max"], {"fn": "max", "scale": "1.0"}),
+        (["verify-gt", "--scale", "2.123456789"], {"scale": "2.123456789", "tol": "1e-10"}),
+        (["verify-convexity", "--tol", "0"], {"fn": "lse", "tol": "0.0"}),
+    ])
+    def test_summary_line_names_the_whole_config(self, tmp_path, capsys, argv, shown):
+        # the line omitted fn and printed the scale as 2.12346; each line's
+        # fields now rebuild its report's config, which replays its worst trial
+        out = tmp_path / "r.json"
+        main(argv + ["--dim", "3", "--trials", "20", "--seed", "5", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        docs = json.loads(out.read_text())
+        docs = docs if isinstance(docs, list) else [docs]
+        assert len(lines) == len(docs)
+        for line, doc in zip(lines, docs):
+            kind, rest = line.split(": ", 1)
+            fields = dict(field.split("=", 1) for field in rest.split()[:-1])  # drop [PASS]
+            assert fields.items() >= shown.items(), line
+            assert ("fn" in fields) == ("fn" in doc), line
+            cfg = CampaignConfig(
+                kind, EnsembleSpec(fields["ensemble"], int(fields["n"]), float(fields["scale"]), int(fields["seed"])),
+                int(fields["trials"]), float(fields["tol"]), fn=fields.get("fn"))
+            assert cfg.check_kind == doc["check_kind"] and cfg.tol == doc["tol"] and cfg.fn == doc.get("fn")
+            assert gtcert.replay(cfg, int(fields["worst_trial_seed"])).slack == doc["worst_slack"], line
 
     @pytest.mark.parametrize("command, fns", [
         ("davis-check", ["lse", "lse"]),

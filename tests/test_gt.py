@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -38,11 +39,12 @@ from gtcert import (
     random_hermitian,
     random_unitary,
     random_vector,
+    replay,
     run_campaign,
     segment_convexity_residual,
+    trial_inputs,
 )
 import gtcert.gt as gt_module
-from gtcert.hermitian import seed_words
 from gtcert.checks import slack_bound
 from gtcert.errors import require_rows
 from gtcert.gt import CHECK_KINDS
@@ -318,16 +320,18 @@ class TestSeedDerivation:
 
     @pytest.mark.parametrize("trials, chunk, streams", [(7, 16, 1), (2100, 64, 2), (1030, 1, 2)])
     def test_chunks_carry_each_trials_stream_states(self, trials, chunk, streams):
-        # seeds and words come a block at a time; every chunk still gets, per
-        # stream k, the seed words of PCG64(derive_seed(trial_seed, k))
+        # seeds and seed words come a block at a time; every chunk still gets,
+        # per stream k, the bits that PCG64(derive_seed(trial_seed, k)) draws
+        check = gt_module.CHECKS["HESSIAN_PSD" if streams == 1 else "UNITARY_INVARIANCE"]
+        ens = EnsembleSpec("gue", 1, 1.0, 2**64 - 1)
         seen = 0
-        for start, seeds, words in gt_module._chunks(2**64 - 1, trials, chunk, streams):
-            assert start == seen and 1 <= len(seeds) <= chunk
-            assert seeds == [derive_seed(2**64 - 1, i) for i in range(start, start + len(seeds))]
-            assert words.shape == (streams, len(seeds), 4)
-            for k in range(streams):
-                assert np.array_equal(words[k], seed_words([derive_seed(s, k) for s in seeds]))
-                assert words[k].flags.c_contiguous
+        for indices, seeds, stacks in gt_module._chunks(check, ens, trials, chunk):
+            assert indices == range(seen, seen + len(seeds)) and 1 <= len(seeds) <= chunk
+            assert seeds == [derive_seed(2**64 - 1, i) for i in indices]
+            assert len(stacks) == streams
+            for k, draw in enumerate(check.streams):
+                fresh = draw(ens, [np.random.Generator(np.random.PCG64(derive_seed(s, k))) for s in seeds])
+                assert stacks[k].dtype == fresh.dtype and stacks[k].tobytes() == fresh.tobytes()
             seen += len(seeds)
         assert seen == trials
 
@@ -426,16 +430,16 @@ class TestRunCampaign:
 
     def test_worst_trial_seed_replays(self):
         # over more than one chunk, every kind's worst slack is exactly the
-        # slack of its public single check on the worst trial; goe and diag
-        # trials are solved in float64 in the campaign and in the replay
+        # slack of `replay` and of its public single check on the worst trial;
+        # goe and diag trials are solved in float64 in the campaign and in the replay
         for ensemble in ("gue", "goe", "diag"):
             for kind in CHECK_KINDS:
                 for n in (1, 2, 8):
                     trials = gt_module._chunk_trials(gt_module.CHECKS[kind], n) + 6
                     cfg = config(kind, n=n, trials=trials, tol=kind_tol(kind), kind_ens=ensemble)
                     report = run_campaign(cfg)
-                    slack = replay_slack(report.config, report.worst_trial_seed)
-                    assert slack == report.worst_slack, (ensemble, kind, n)
+                    seed = report.worst_trial_seed
+                    assert replay(cfg, seed).slack == report.worst_slack == replay_slack(cfg, seed), (ensemble, kind, n)
 
     def test_report_independent_of_chunk_size(self, monkeypatch):
         # every kind at n=3, then DAVIS_RESTRICTION, whose chunks hold the
@@ -610,7 +614,8 @@ class TestRunCampaign:
             doc = json.loads(json.dumps(report.to_json_dict()))
             rebuilt = config_from_json(doc)
             assert rebuilt == report.config and rebuilt.fn == fn
-            assert replay_slack(rebuilt, doc["worst_trial_seed"]) == doc["worst_slack"], (ensemble, kind)
+            seed = doc["worst_trial_seed"]
+            assert replay(rebuilt, seed).slack == doc["worst_slack"] == replay_slack(rebuilt, seed), (ensemble, kind)
 
     def test_goe_and_diag_ensembles(self):
         for kind_ens in ("goe", "diag"):
@@ -699,6 +704,74 @@ class TestRunCampaign:
         report = run_campaign(config("HESSIAN_FD_MATCH", trials=10, tol=1e-16))
         assert report.violations == 10
         assert report.worst_slack < 0
+
+
+def public_draws(cfg, trial_seed):
+    """The inputs of one trial, each stream k drawn by the single-draw API from derive_seed(trial_seed, k)."""
+    ens, kind = cfg.ensemble, cfg.check_kind
+    spec = [dataclasses.replace(ens, seed=derive_seed(trial_seed, k)) for k in (0, 1)]
+    if kind == "UNITARY_INVARIANCE":
+        return [random_hermitian(spec[0]).entries, random_unitary(ens.n, spec[1].seed).entries]
+    if kind in PAIR_CHECKS:
+        return [random_hermitian(s).entries for s in spec]
+    return [random_vector(spec[0])]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReplay:
+    @pytest.mark.parametrize("kind", CHECK_KINDS)
+    def test_trial_inputs_are_the_single_draws(self, kind):
+        for ensemble in ("gue", "goe", "diag"):
+            for n in (1, 8):
+                cfg = config(kind, n=n, trials=1, tol=kind_tol(kind), kind_ens=ensemble)
+                for trial_seed in (0, 2**64 - 1, derive_seed(7, 3)):
+                    got, want = trial_inputs(cfg, trial_seed), public_draws(cfg, trial_seed)
+                    assert len(got) == len(gt_module.CHECKS[kind].streams) == len(want)
+                    for x, y in zip(got, want):
+                        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("ensemble", ["gue", "goe"])
+    def test_replay_recounts_the_violations(self, ensemble):
+        # at tol 0 a rounding-only deviation of U* A U is a violation; 150
+        # trials span three chunks
+        cfg = config("UNITARY_INVARIANCE", n=8, trials=150, tol=0.0, seed=5, kind_ens=ensemble, scale=1e6)
+        report = run_campaign(cfg)
+        assert report.violations > 0
+        results = [replay(cfg, derive_seed(5, i)) for i in range(150)]
+        assert sum(not r.passed for r in results) == report.violations
+        assert min(r.slack for r in results) == report.worst_slack
+
+    @pytest.mark.parametrize("cfg, cause", [
+        (CampaignConfig("DAVIS_RESTRICTION", EnsembleSpec("gue", 8, 1.0, 1), 20, 1e-10, fn="pnorm:1e6"),
+         NonFiniteResult),
+        (CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 4, 1e308, 3), 20, 1e-10), NonFiniteInput),
+    ])
+    def test_trial_error_replays(self, cfg, cause):
+        with pytest.raises(CampaignTrialError) as campaign:
+            run_campaign(cfg)
+        with pytest.raises(CampaignTrialError) as replayed:
+            replay(cfg, campaign.value.trial_seed)
+        assert isinstance(campaign.value.cause, cause) and type(replayed.value.cause) is cause
+        assert replayed.value.trial_seed == campaign.value.trial_seed
+        assert str(replayed.value.cause) == str(campaign.value.cause)
+        assert replayed.value.trial_index is None
+
+    @pytest.mark.parametrize("trial_seed", [-1, 2**64, True, 1.0])
+    def test_bad_trial_seeds_rejected(self, trial_seed):
+        cfg = config("GT_WEAK", trials=1)
+        with pytest.raises(ValueError):
+            replay(cfg, trial_seed)
+        with pytest.raises(ValueError):
+            trial_inputs(cfg, trial_seed)
+
+    def test_readme_quick_start_replays(self):
+        # the README's first python block ends by replaying its worst trial
+        block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, str(README), "exec"), namespace)
+        assert namespace["trial"].slack == namespace["report"].worst_slack
 
 
 def as_complex(a):
