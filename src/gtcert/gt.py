@@ -204,21 +204,9 @@ def convexity_check(
     return first_result(segment_rows, builtin("lse"), a.entries[None], b.entries[None], tol=tol)
 
 
-def _matrices(ens: EnsembleSpec, rngs) -> np.ndarray:
-    return hermitian_stack(ens.kind, ens.n, ens.scale, rngs)
-
-
-def _unitaries(ens: EnsembleSpec, rngs) -> np.ndarray:
-    return haar_stack(ens.n, rngs)
-
-
-def _vectors(ens: EnsembleSpec, rngs) -> np.ndarray:
-    return vector_stack(ens.kind, ens.n, ens.scale, rngs)
-
-
-_PAIR = (_matrices, _matrices)
-_ROTATION = (_matrices, _unitaries)
-_VECTOR = (_vectors,)
+_PAIR = (hermitian_stack, hermitian_stack)
+_ROTATION = (hermitian_stack, haar_stack)
+_VECTOR = (vector_stack,)
 
 
 def _matrix_entries(n: int) -> int:
@@ -247,8 +235,9 @@ def _stencil_entries(n: int) -> int:
 class CheckKind:
     """How a campaign samples a chunk of trials and checks it.
 
-    `streams[k](ensemble, generators)` draws stream k of every trial of the
-    chunk as one stack; stream k of a trial is seeded by
+    `streams[k]` is a sampler, `hermitian_stack`, `haar_stack` or
+    `vector_stack`; `streams[k](ensemble, generators)` draws stream k of every
+    trial of the chunk as one stack.  Stream k of a trial is seeded by
     `derive_seed(trial_seed, k)` (`trial_inputs` returns one trial's draws, and
     `replay` checks them).  The runner then calls
     `evaluate(f, *stacks)`, which returns (lhs, rhs, slack) arrays with one

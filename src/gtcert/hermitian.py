@@ -6,8 +6,10 @@ those spectra, so nothing here forms a matrix function.
 
 Every sampling routine is a pure function of its seed.  The underlying bit
 generator is numpy's PCG64; `GENERATOR_ID` names it in campaign reports.  The
-samplers draw a stack, one draw per generator they are given: the single-draw
-API gives them `Generator(PCG64(seed))`, and campaigns give them `generators`,
+three samplers `hermitian_stack`, `vector_stack` and `haar_stack` take
+`(ensemble, generators)`: they read the `EnsembleSpec`'s kind, size and scale,
+never its seed, and draw a stack, one draw per generator.  The single-draw API
+gives them `Generator(PCG64(seed))`, and campaigns give them `generators`,
 which builds the same generators for many seeds at once.  `seed_words` hashes
 all the seeds with numpy's SeedSequence in array arithmetic, and numpy's PCG64
 constructor seeds each generator from its row of words.
@@ -343,34 +345,34 @@ def _normal_stack(rngs, shape: tuple, scale: float = 1.0) -> np.ndarray:
     return out
 
 
-def hermitian_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
-    """One ensemble draw per generator, as a (T, n, n) stack of exactly Hermitian arrays.
+def hermitian_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
+    """One draw of the ensemble per generator, as a (T, n, n) stack of exactly Hermitian arrays.
 
-    `kind` must already be canonical; `rngs` is a list of generators or a
-    `generators` sequence.  Each generator draws its whole matrix before the
-    next is advanced (GUE: the real then the imaginary n x n block), and the
-    symmetrization runs on the stack.  The stack is complex128 for gue and
-    float64 for goe and diag, whose matrices are real symmetric.  Entries that
-    overflow come out as inf or NaN without a numpy warning; a campaign makes
-    them a NonFiniteInput trial error.
+    Each generator draws its whole matrix before the next is advanced (GUE:
+    the real then the imaginary n x n block), and the symmetrization runs on
+    the stack.  The stack is complex128 for gue and float64 for goe and diag,
+    whose matrices are real symmetric.  Entries that overflow come out as inf
+    or NaN without a numpy warning; a campaign makes them a NonFiniteInput
+    trial error.
     """
-    if kind == "gue":
-        g = _normal_stack(rngs, (2, n, n), scale)
+    n = ens.n
+    if ens.kind == "gue":
+        g = _normal_stack(rngs, (2, n, n), ens.scale)
         with np.errstate(over="ignore", invalid="ignore"):
             g = g[:, 0] + 1j * g[:, 1]
             return (g + conj_t(g)) / 2.0
-    if kind == "goe":
-        g = _normal_stack(rngs, (n, n), scale)
+    if ens.kind == "goe":
+        g = _normal_stack(rngs, (n, n), ens.scale)
         with np.errstate(over="ignore", invalid="ignore"):
             return (g + g.swapaxes(-1, -2)) / 2.0
-    return diagonal_stack(vector_stack(kind, n, scale, rngs))
+    return diagonal_stack(vector_stack(ens, rngs))
 
 
-def vector_stack(kind: str, n: int, scale: float, rngs) -> np.ndarray:
-    """One length-n draw per generator from the diagonal-entry law, as a (T, n) stack."""
-    if kind in ("gue", "goe"):
-        return _normal_stack(rngs, (n,), scale)
-    return np.stack([rng.uniform(-scale, scale, n) for rng in rngs])
+def vector_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
+    """One length-n draw per generator from the ensemble's diagonal-entry law, as a (T, n) stack."""
+    if ens.kind in ("gue", "goe"):
+        return _normal_stack(rngs, (ens.n,), ens.scale)
+    return np.stack([rng.uniform(-ens.scale, ens.scale, ens.n) for rng in rngs])
 
 
 def diagonal_stack(x: np.ndarray) -> np.ndarray:
@@ -381,14 +383,15 @@ def diagonal_stack(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_stack(n: int, rngs) -> np.ndarray:
-    """One Haar-distributed n x n unitary per generator, as a (T, n, n) stack.
+def haar_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
+    """One Haar-distributed unitary of size `ens.n` per generator, as a (T, n, n) stack.
 
-    QR of a complex Ginibre matrix (one stacked QR call), with column phases
-    fixed so the triangular factor has a positive real diagonal; this makes
-    the distribution exactly Haar rather than merely unitary.
+    Every ensemble kind rotates by U(n), so only `ens.n` is read.  QR of a
+    complex Ginibre matrix (one stacked QR call), with column phases fixed so
+    the triangular factor has a positive real diagonal; this makes the
+    distribution exactly Haar rather than merely unitary.
     """
-    g = _normal_stack(rngs, (2, n, n))
+    g = _normal_stack(rngs, (2, ens.n, ens.n))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # zero diagonal has probability zero; keep the phase defined
@@ -397,7 +400,7 @@ def haar_stack(n: int, rngs) -> np.ndarray:
 
 def random_hermitian(spec: EnsembleSpec) -> HermitianMatrix:
     """Draw one matrix from the ensemble.  Pure function of `spec`."""
-    return HermitianMatrix(hermitian_stack(spec.kind, spec.n, spec.scale, _fresh(spec.seed))[0])
+    return HermitianMatrix(hermitian_stack(spec, _fresh(spec.seed))[0])
 
 
 def random_vector(spec: EnsembleSpec) -> np.ndarray:
@@ -405,14 +408,12 @@ def random_vector(spec: EnsembleSpec) -> np.ndarray:
 
     gue/goe give i.i.d. N(0, scale^2); diag gives i.i.d. uniform on [-scale, scale].
     """
-    return vector_stack(spec.kind, spec.n, spec.scale, _fresh(spec.seed))[0]
+    return vector_stack(spec, _fresh(spec.seed))[0]
 
 
 def random_unitary(n: int, seed: int) -> UnitaryMatrix:
-    """Haar-distributed n x n unitary, drawn by `haar_stack`; `n` and `seed` follow `EnsembleSpec`'s rules."""
-    require_positive_int(n, "n")
-    require_seed(seed)
-    return UnitaryMatrix(haar_stack(n, _fresh(seed))[0])
+    """Haar-distributed n x n unitary, drawn by `haar_stack`; `EnsembleSpec` applies its rules to `n` and `seed`."""
+    return UnitaryMatrix(haar_stack(EnsembleSpec("gue", n, 1.0, seed), _fresh(seed))[0])
 
 
 def conj_t(stack: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import (CheckResult, first_result, is_real, quiet_rows, require_finite_rows,
                      require_positive_int, require_seed)
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteResult, require_rows
 from .hermitian import HermitianMatrix, UnitaryMatrix, conj_t, diagonal_stack, stacked_spectrum, symmetrized
 from .logsumexp import _as_vector, lse_rows
 
@@ -62,8 +62,14 @@ def _same_n(a, b) -> None:
 
 
 def lift_eval(func: SpectralFunction, a: HermitianMatrix) -> float:
-    """F(A): the base function applied to the ascending spectrum of A."""
-    return float(func.base.rows(stacked_spectrum(a.entries[None]))[0])
+    """F(A): the base function applied to the ascending spectrum of A.
+
+    A value that overflows, or is NaN, raises NonFiniteResult, as it does in the checks.
+    """
+    values = quiet_rows(func.base.rows, stacked_spectrum(a.entries[None]))
+    require_rows(np.isfinite(values), NonFiniteResult,
+                 f"{func.name} of the matrix is not finite (the function overflows)")
+    return float(values[0])
 
 
 def check_symmetry(
@@ -157,11 +163,14 @@ def midpoint_convexity_residual(
 def segment_convexity_residual(
     func: SpectralFunction, a: HermitianMatrix, b: HermitianMatrix, t: float
 ) -> float:
-    """t F(A) + (1-t) F(B) - F(t A + (1-t) B) for t in [0, 1]."""
+    """t F(A) + (1-t) F(B) - F(t A + (1-t) B) for t in [0, 1].
+
+    A NaN or infinite value raises the checks' CampaignTrialError, so the residual is always finite.
+    """
     if not (is_real(t) and 0.0 <= t <= 1.0):
         raise ValueError(f"t must be a real in [0, 1], got {t!r}")
     _same_n(a, b)
-    return float(quiet_rows(segment_rows, func.base, a.entries[None], b.entries[None], t)[2][0])
+    return first_result(segment_rows, func.base, a.entries[None], b.entries[None], t, tol=0.0).slack
 
 
 def davis_restriction_rows(f: SymmetricScalarFunction, x: np.ndarray):

@@ -138,7 +138,7 @@ def test_hessian_and_laplacian_psd_certificates(certify):
     bad_hessian = 0
     for n in range(2, 17):
         seeds = derive_seeds(4000 + n, np.arange(trials))
-        x = vector_stack("diag", n, 10.0, generators(seed_words(seeds)))
+        x = vector_stack(EnsembleSpec("diag", n, 10.0, 0), generators(seed_words(seeds)))
         assert len(np.unique(x, axis=0)) == trials
         h = hessian_rows(x)
         w = stacked_spectrum(h)

@@ -254,7 +254,7 @@ class TestEnsembles:
         # goe and diag matrices are real symmetric and are drawn as float64
         assert random_hermitian(EnsembleSpec(kind, 4, 1.0, 3)).entries.dtype == dtype
         rngs = generators(seed_words([1, 2, 3]))
-        assert hermitian_stack(kind, 4, 1.0, rngs).dtype == dtype
+        assert hermitian_stack(EnsembleSpec(kind, 4, 1.0, 0), rngs).dtype == dtype
 
     def test_diagonal_uniform_support(self):
         h = random_hermitian(EnsembleSpec("diag", 32, 0.5, 3))
@@ -275,7 +275,7 @@ class TestEnsembles:
             warnings.simplefilter("error")
             for kind in ("gue", "goe"):
                 rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in range(8)]
-                assert not np.isfinite(hermitian_stack(kind, 4, 1.7e308, rngs)).all()
+                assert not np.isfinite(hermitian_stack(EnsembleSpec(kind, 4, 1.7e308, 0), rngs)).all()
                 vectors = [random_vector(EnsembleSpec(kind, 4, 1.7e308, seed)) for seed in range(8)]
                 assert not np.isfinite(vectors).all()
 
@@ -361,7 +361,7 @@ class TestRandomUnitary:
         for n in (1, 2, 8, 64):
             seeds = derive_seeds(n, np.arange(1000))
             for chunk in np.split(seeds, 10):
-                for u in haar_stack(n, generators(seed_words(chunk))):
+                for u in haar_stack(EnsembleSpec("gue", n, 1.0, 0), generators(seed_words(chunk))):
                     UnitaryMatrix(u)
 
     def test_pure_in_seed(self):
@@ -461,15 +461,15 @@ class TestCampaignSeeding:
         for n in (1, 2, 8):
             specs = [EnsembleSpec(kind, n, 2.5, s) for s in seeds]
             np.testing.assert_array_equal(
-                hermitian_stack(kind, n, 2.5, generators(words)),
+                hermitian_stack(specs[0], generators(words)),
                 np.stack([random_hermitian(spec).entries for spec in specs]),
             )
             np.testing.assert_array_equal(
-                vector_stack(kind, n, 2.5, generators(words)),
+                vector_stack(specs[0], generators(words)),
                 np.stack([random_vector(spec) for spec in specs]),
             )
             np.testing.assert_array_equal(
-                haar_stack(n, generators(words)),
+                haar_stack(specs[0], generators(words)),
                 np.stack([random_unitary(n, s).entries for s in seeds]),
             )
 
@@ -557,10 +557,11 @@ class TestProducersAreExact:
         def rngs(stream):
             return generators(seed_words(derive_seeds(seed, np.arange(trials) + stream * trials)))
 
-        a = hermitian_stack(kind, n, scale, rngs(0))
-        b = hermitian_stack(kind_b, n, scale, rngs(1))
-        x = vector_stack(kind, n, scale, rngs(2))
-        u = haar_stack(n, rngs(3))
+        ens, ens_b = EnsembleSpec(kind, n, scale, seed), EnsembleSpec(kind_b, n, scale, seed)
+        a = hermitian_stack(ens, rngs(0))
+        b = hermitian_stack(ens_b, rngs(1))
+        x = vector_stack(ens, rngs(2))
+        u = haar_stack(ens, rngs(3))
         noisy = conj_t(u) @ a @ u
         skew = scale * np.random.default_rng(seed).standard_normal((trials, n, n))
         stacks = {

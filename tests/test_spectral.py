@@ -61,6 +61,14 @@ class TestLiftEval:
         assert lift_eval(lift(builtin("pnorm:2")), diag(3.0, 4.0)) == pytest.approx(5.0, abs=1e-12)
         assert lift_eval(lift(builtin("pnorm:1")), diag(-3.0, 4.0)) == pytest.approx(7.0, abs=1e-12)
 
+    def test_overflowing_value_is_an_error(self):
+        # |800|^1e6 overflows: lift_eval returned inf, although the p-norm is 800;
+        # a sum that overflows raises without numpy's warning
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            lift_eval(lift(builtin("pnorm:1e6")), diag(800.0, 0.0))
+        with pytest.raises(NonFiniteResult):
+            lift_eval(lift(builtin("sum")), diag(1.7e308, 1.7e308))
+
 
 class TestBuiltins:
     def test_registry_contents(self):
@@ -225,6 +233,18 @@ class TestConvexityResiduals:
             with pytest.raises(ValueError):
                 segment_convexity_residual(f, a, b, t)
 
+    def test_overflowing_residual_is_an_error(self):
+        # both residuals returned NaN here, which passes a `residual < -tol`
+        # test; they raise the error the checks raise on the same overflow
+        f = lift(builtin("pnorm:1e6"))
+        a, b = diag(800.0, 0.0), diag(0.0, 800.0)
+        for residual in (lambda: midpoint_convexity_residual(f, a, b),
+                         lambda: segment_convexity_residual(f, a, b, 0.3),
+                         lambda: check_unitary_invariance(f, a, UnitaryMatrix(np.eye(2)), 1e-10)):
+            with pytest.raises(CampaignTrialError) as info:
+                residual()
+            assert isinstance(info.value.cause, NonFiniteResult)
+
     def test_sizes_must_match(self):
         f = lift(builtin("lse"))
         with pytest.raises(DimensionMismatch):
@@ -278,7 +298,7 @@ class TestDavisRestriction:
         scalar = 0.5 * (f.rows(x) + f.rows(y)) - f.rows((x + y) / 2.0)
         assert scalar.min() >= -1e-12
         seeds = 3 * np.arange(10_000)
-        a, b = (hermitian_stack("gue", 4, 1.0, generators(seed_words(s))) for s in (seeds, seeds + 1))
+        a, b = (hermitian_stack(EnsembleSpec("gue", 4, 1.0, 0), generators(seed_words(s))) for s in (seeds, seeds + 1))
         assert segment_rows(f, a, b)[2].min() >= -1e-10
         # the stacks are the public draws: a sample of pairs, through the public path
         for s in (0, 1, 4999, 9999):
