@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CampaignTrialError, NonFiniteInput, NonFiniteResult, require_rows
+from .errors import NonFiniteInput, NonFiniteResult, at_row, require_rows
 
 
 def is_int(value) -> bool:
@@ -70,13 +70,8 @@ def slack_bound(rhs, tol: float):
     return tol * np.maximum(1.0, np.abs(rhs))
 
 
-def non_finite_trial(trial_index, trial_seed: int, lhs, rhs, slack) -> CampaignTrialError:
-    """The error for a check whose lhs, rhs or slack is NaN or infinite."""
-    return CampaignTrialError(
-        trial_index,
-        trial_seed,
-        NonFiniteResult(f"lhs={float(lhs)!r} rhs={float(rhs)!r} slack={float(slack)!r}"),
-    )
+def _not_finite(names, values) -> NonFiniteResult:
+    return NonFiniteResult(" ".join(f"{name}={float(v)!r}" for name, v in zip(names, values)) + " is not finite")
 
 
 @dataclass(frozen=True)
@@ -88,33 +83,38 @@ class CheckResult:
     eigenvalue.  In every case: passed iff slack >= -tol * max(1, |rhs|),
     with `tol` finite and >= 0.
     A non-finite lhs, rhs or slack neither passes nor fails: it raises
-    CampaignTrialError carrying `trial_seed`.
+    NonFiniteResult, as `quiet_rows` does where the checks compute them.
     """
 
     lhs: float
     rhs: float
     slack: float
     tol: float
-    trial_seed: int = 0
 
     def __post_init__(self):
         require_tol(self.tol)
         if not all(math.isfinite(v) for v in (self.lhs, self.rhs, self.slack)):
-            raise non_finite_trial(None, self.trial_seed, self.lhs, self.rhs, self.slack)
+            raise _not_finite(("lhs", "rhs", "slack"), (self.lhs, self.rhs, self.slack))
 
     @property
     def passed(self) -> bool:
         return bool(self.slack >= -slack_bound(self.rhs, self.tol))
 
 
-def quiet_rows(evaluate: Callable[..., tuple], *args) -> tuple:
-    """`evaluate(*args)`, the (lhs, rhs, slack) arrays of a stacked check, without numpy's warnings.
+def quiet_rows(evaluate: Callable[..., tuple], *args, names=("lhs", "rhs", "slack")) -> tuple:
+    """`evaluate(*args)`, a tuple of arrays with one entry per row, run without numpy's warnings.
 
-    A value that overflows, or is NaN, ends as an Error or a non-finite
-    result, so the warning would only print a line before that error.
+    The one rule for a computed value: the first row where any array holds a
+    NaN or an infinity raises NonFiniteResult, with that row as `row` and its
+    values, labelled by `names`, in the message.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return evaluate(*args)
+        values = evaluate(*args)
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():  # one reduction when every row is finite, the usual case
+        row = int(finite.argmin())
+        raise at_row(_not_finite(names, (v[row] for v in values)), row)
+    return values
 
 
 def first_result(evaluate: Callable[..., tuple], *args, tol: float) -> CheckResult:

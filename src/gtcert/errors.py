@@ -49,7 +49,7 @@ class NonFiniteInput(Error):
 
 
 class NonFiniteResult(Error):
-    """A check computed a NaN or infinite lhs, rhs or slack."""
+    """A computed value, such as a check's lhs, rhs or slack, is NaN or infinite (`checks.quiet_rows`)."""
 
 
 class MatrixParseError(Error):
@@ -59,12 +59,13 @@ class MatrixParseError(Error):
 class CampaignTrialError(Error):
     """A campaign trial raised; carries the trial seed, which `replay(config, trial_seed)` re-runs.
 
-    `trial_index` is None when the failing check ran outside a campaign.
+    Only `run_campaign` and `replay` raise it, with the trial's own error as
+    `cause`; `trial_index` is None only for `replay`.
     """
 
     def __init__(self, trial_index, trial_seed: int, cause: BaseException):
         self.trial_index = trial_index
         self.trial_seed = trial_seed
         self.cause = cause
-        where = "check" if trial_index is None else f"trial {trial_index}"
+        where = "replayed trial" if trial_index is None else f"trial {trial_index}"
         super().__init__(f"{where} (trial_seed={trial_seed}) failed: {cause!r}")

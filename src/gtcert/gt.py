@@ -32,7 +32,6 @@ import numpy as np
 from .checks import (
     CheckResult,
     first_result,
-    non_finite_trial,
     quiet_rows,
     require_finite_rows,
     require_positive_int,
@@ -175,9 +174,11 @@ def log_trace_exp(a: HermitianMatrix) -> float:
 
 
 def log_trace_exp_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    """log tr(exp A exp B), computed in the log domain; finite for finite A, B."""
+    """log tr(exp A exp B), computed in the log domain; beyond the float range it raises NonFiniteResult."""
     _same_n(a, b)
-    return float(_log_trace_exp_product_rows(a.entries[None], b.entries[None])[0])
+    (value,) = quiet_rows(lambda x, y: (_log_trace_exp_product_rows(x, y),), a.entries[None], b.entries[None],
+                          names=("log tr(exp A exp B)",))
+    return float(value[0])
 
 
 def gt_weak_check(
@@ -368,21 +369,17 @@ def _chunks(check: CheckKind, ens: EnsembleSpec, trials: int, chunk: int) -> Ite
 
 
 def _check_chunk(check: CheckKind, f: SymmetricScalarFunction, stacks: list, indices, seeds: list):
-    """(lhs, rhs, slack) arrays of one chunk of trials, all finite.
+    """(lhs, rhs, slack) arrays of one chunk of trials, all finite (`checks.quiet_rows`).
 
-    Any error, and any non-finite value, becomes a CampaignTrialError naming
-    the trial it belongs to by its entries of `indices` and `seeds`.
+    Any error, a non-finite value's NonFiniteResult included, becomes a
+    CampaignTrialError naming the trial it belongs to by its entries of
+    `indices` and `seeds`.
     """
     try:
-        lhs, rhs, slack = quiet_rows(check.evaluate, f, *stacks)
+        return quiet_rows(check.evaluate, f, *stacks)
     except Error as exc:
         row = exc.row % len(seeds)
         raise CampaignTrialError(indices[row], seeds[row], exc) from exc
-    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(slack)
-    if not finite.all():
-        row = int(finite.argmin())
-        raise non_finite_trial(indices[row], seeds[row], lhs[row], rhs[row], slack[row])
-    return lhs, rhs, slack
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -392,7 +389,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     trials in index order (ties on worst slack keep the lowest index), so
     the report does not depend on the chunk size.  A trial that raises, or
     whose lhs, rhs or slack is not finite, aborts the whole campaign with a
-    CampaignTrialError carrying its seed.
+    CampaignTrialError carrying its seed and its error as `cause`.
     """
     t0 = time.perf_counter()
     ens, tol = config.ensemble, config.tol
@@ -438,4 +435,4 @@ def replay(config: CampaignConfig, trial_seed: int) -> CheckResult:
     f = None if config.fn is None else builtin(config.fn)
     stacks = [x[None] for x in trial_inputs(config, trial_seed)]
     (lhs,), (rhs,), (slack,) = _check_chunk(CHECKS[config.check_kind], f, stacks, [None], [trial_seed])
-    return CheckResult(float(lhs), float(rhs), float(slack), config.tol, trial_seed)
+    return CheckResult(float(lhs), float(rhs), float(slack), config.tol)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import (CheckResult, first_result, is_real, quiet_rows, require_finite_rows,
                      require_positive_int, require_seed)
-from .errors import DimensionMismatch, NonFiniteResult, require_rows
+from .errors import DimensionMismatch
 from .hermitian import HermitianMatrix, UnitaryMatrix, conj_t, diagonal_stack, stacked_spectrum, symmetrized
 from .logsumexp import _as_vector, lse_rows
 
@@ -31,13 +31,16 @@ class SymmetricScalarFunction:
     """Named scalar function of a real vector, permutation-invariant by contract.
 
     `rows` maps a finite (T, n) array to its T values, one per row, for any n.
+    Calling the function evaluates `rows` on one vector under
+    `checks.quiet_rows`, so a value that overflows raises NonFiniteResult.
     """
 
     name: str
     rows: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x) -> float:
-        return float(self.rows(_as_vector(x)[None])[0])
+        (value,) = quiet_rows(lambda v: (self.rows(v),), _as_vector(x)[None], names=(self.name,))
+        return float(value[0])
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,9 @@ def _same_n(a, b) -> None:
 def lift_eval(func: SpectralFunction, a: HermitianMatrix) -> float:
     """F(A): the base function applied to the ascending spectrum of A.
 
-    A value that overflows, or is NaN, raises NonFiniteResult, as it does in the checks.
+    A value that overflows raises NonFiniteResult, as the base function does.
     """
-    values = quiet_rows(func.base.rows, stacked_spectrum(a.entries[None]))
-    require_rows(np.isfinite(values), NonFiniteResult,
-                 f"{func.name} of the matrix is not finite (the function overflows)")
-    return float(values[0])
+    return func.base(stacked_spectrum(a.entries[None])[0])
 
 
 def check_symmetry(
@@ -82,10 +82,11 @@ def check_symmetry(
     """Probe permutation invariance of f at x.
 
     All n! permutations when n <= 5, otherwise n_perms draws seeded by `seed`
-    (pure; `seed` follows `EnsembleSpec`'s rule), evaluated in one `rows` call
-    under `checks.quiet_rows`.  Records the first largest deviation: slack is
-    minus the largest |f(permuted x) - f(x)|, and a NaN deviation counts as the
-    largest; a value that overflows is a non-finite result, not a warning.
+    (pure; `seed` follows `EnsembleSpec`'s rule).  x and its permutations are
+    evaluated in one `rows` call under `checks.quiet_rows`, so a value or a
+    deviation that is not finite raises NonFiniteResult, with the permutation
+    as `row`.  Records the first largest deviation: slack is minus the largest
+    |f(permuted x) - f(x)|.
     """
     arr = _as_vector(x)
     n = arr.shape[0]
@@ -96,20 +97,15 @@ def check_symmetry(
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         perms = np.array([rng.permutation(n) for _ in range(n_perms)])
-    reference, values = quiet_rows(lambda: (f(arr), f.rows(arr[perms])))
-    dev = _deviation(values, reference)
+
+    def rows(stack):  # row 0 is x; (f(permuted x), f(x), minus the deviation) per permutation
+        values = f.rows(stack)
+        return values[1:], values[:1].repeat(len(perms)), -np.abs(values[1:] - values[0])
+
+    values, reference, dev = quiet_rows(rows, np.concatenate([arr[None], arr[perms]]))
     worst = int(dev.argmin())
-    lhs = float(values[worst]) if dev[worst] < 0 else reference
-    return CheckResult(lhs=lhs, rhs=reference, slack=float(dev[worst]), tol=tol, trial_seed=seed)
-
-
-def _deviation(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """-|value - reference|, where inf - inf gives NaN without a numpy warning.
-
-    The non-finite slack then becomes a trial error, as any other does.
-    """
-    with np.errstate(invalid="ignore"):
-        return -np.abs(value - reference)
+    lhs = values[worst] if dev[worst] < 0 else reference[worst]
+    return CheckResult(lhs=float(lhs), rhs=float(reference[worst]), slack=float(dev[worst]), tol=tol)
 
 
 def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.ndarray):
@@ -125,7 +121,7 @@ def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.nda
     require_finite_rows(m, "U* A U")  # a finite A can still make U* A U overflow
     values = f.rows(stacked_spectrum(np.concatenate([a, symmetrized(m)])))
     reference, rotated = np.split(values, 2)
-    return rotated, reference, _deviation(rotated, reference)
+    return rotated, reference, -np.abs(rotated - reference)
 
 
 def check_unitary_invariance(
@@ -165,7 +161,7 @@ def segment_convexity_residual(
 ) -> float:
     """t F(A) + (1-t) F(B) - F(t A + (1-t) B) for t in [0, 1].
 
-    A NaN or infinite value raises the checks' CampaignTrialError, so the residual is always finite.
+    A NaN or infinite term raises NonFiniteResult, as the checks do, so the residual is always finite.
     """
     if not (is_real(t) and 0.0 <= t <= 1.0):
         raise ValueError(f"t must be a real in [0, 1], got {t!r}")
@@ -177,7 +173,7 @@ def davis_restriction_rows(f: SymmetricScalarFunction, x: np.ndarray):
     """(lhs, rhs, slack) arrays of the lift of f at diag(x) against f(x), per row of x."""
     direct = f.rows(x)
     lifted = f.rows(stacked_spectrum(diagonal_stack(x)))
-    return lifted, direct, _deviation(lifted, direct)
+    return lifted, direct, -np.abs(lifted - direct)
 
 
 def check_davis_restriction(f: SymmetricScalarFunction, x, tol: float) -> CheckResult:
@@ -194,9 +190,12 @@ def _pnorm(p: float) -> SymmetricScalarFunction:
         raise ValueError(f"pnorm requires a finite p >= 1, got {p!r}")
 
     def rows(x: np.ndarray) -> np.ndarray:
-        # |x|^p may overflow to inf, which the checks and the CLI reject as non-finite
-        with np.errstate(over="ignore"):
-            return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
+        # m (sum (|x|/m)^p)^(1/p) with m = max|x|: the largest term is 1, so
+        # |x|^p neither underflows to a wrong 0 nor overflows where the norm
+        # is finite; a row of zeros divides by 1 and gives 0
+        a = np.abs(x)
+        m = a.max(axis=-1, keepdims=True)
+        return m[..., 0] * np.sum((a / np.where(m > 0, m, 1.0)) ** p, axis=-1) ** (1.0 / p)
 
     # the shortest spelling that reads back as p, so that builtin(name) is this function again
     return SymmetricScalarFunction(f"pnorm:{repr(p).removesuffix('.0')}", rows)

@@ -187,15 +187,22 @@ class TestEvalCommand:
 
 
     def test_overflowing_value_is_an_error(self, tmp_path, capsys):
-        # |800|^1e6 overflows, so pnorm:1e6 is inf; eval used to print inf and exit 0
-        path = write(tmp_path / "a.json", {"n": 2, "re": [[800.0, 0.0], [0.0, 0.0]]})
+        # the sum 2e308 overflows to inf; eval used to print inf and exit 0
+        path = write(tmp_path / "a.json", {"n": 2, "re": [[1e308, 0.0], [0.0, 1e308]]})
         out = tmp_path / "r.json"
         for extra in ([], ["--out", str(out)]):
-            assert main(["eval", "--fn", "pnorm:1e6", "--matrix", path] + extra) == 2
+            assert main(["eval", "--fn", "sum", "--matrix", path] + extra) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            assert "not finite" in captured.err
         assert not out.exists()
+
+    def test_large_p_norm_is_finite(self, tmp_path, capsys):
+        # 800^1e6 overflowed inside (sum |x|^p)^(1/p), so eval exited 2, where the norm is 800
+        path = write(tmp_path / "a.json", {"n": 2, "re": [[800.0, 0.0], [0.0, 0.0]]})
+        assert main(["eval", "--fn", "pnorm:1e6", "--matrix", path]) == 0
+        assert capsys.readouterr().out == "800\n"
 
 
 class TestCampaignCommands:
@@ -315,11 +322,11 @@ class TestCampaignCommands:
         assert written == expected
 
     def test_non_finite_campaign_exits_2_without_nan(self, tmp_path, capsys):
-        # pnorm:1e6 overflows; the NaN deviation used to count as a violation
-        # and was written as a bare NaN into the report
+        # the sum of 8 entries up to 8e307 overflows; the NaN deviation used to
+        # count as a violation and was written as a bare NaN into the report
         out = tmp_path / "r.json"
-        code = main(["davis-check", "--dim", "8", "--trials", "20", "--seed", "1",
-                     "--fn", "pnorm:1e6", "--out", str(out)])
+        code = main(["davis-check", "--dim", "8", "--trials", "20", "--seed", "1", "--ensemble", "diag",
+                     "--scale", "8e307", "--fn", "sum", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -409,8 +416,8 @@ class TestModuleEntryPoint:
     def test_overflowing_davis_check_prints_only_the_error_line(self):
         # inf - inf in the deviation printed numpy's two-line RuntimeWarning
         # first; pytest's own warning capture hides it in-process
-        proc = run_module("davis-check", "--fn", "pnorm:1e6", "--seed", "1",
-                          "--trials", "5", "--dim", "8")
+        proc = run_module("davis-check", "--fn", "sum", "--seed", "1", "--trials", "5",
+                          "--dim", "8", "--ensemble", "diag", "--scale", "8e307")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 

@@ -23,6 +23,7 @@ from gtcert import (
     UnitaryMatrix,
     builtin,
     check_davis_restriction,
+    check_symmetry,
     check_unitary_invariance,
     convexity_check,
     derive_seed,
@@ -104,10 +105,13 @@ class TestLogTraceExp:
         lambda a: log_trace_exp_product(a, a),
         lambda a: lift_eval(lift(builtin("lse")), a),
         lambda a: midpoint_convexity_residual(lift(builtin("lse")), a, a),
+        lambda _: log_trace_exp_product(BIG, BIG),
     ])
     def test_overflowing_spectrum_is_an_error_without_a_warning(self, evaluate):
         # eigvalsh gives [0, inf] for the finite BIG_BLOCK; lse then computed
-        # inf - inf, returning NaN after numpy's "invalid value" warning
+        # inf - inf, returning NaN after numpy's "invalid value" warning.  The
+        # spectra of BIG are finite, but every term 1e308 + 1e308 of the
+        # product's lse overflows, and it returned NaN after two warnings
         with pytest.raises(NonFiniteResult):
             evaluate(BIG_BLOCK)
 
@@ -267,12 +271,48 @@ class TestCheckResult:
         dict(rhs=-math.inf, slack=-math.inf),  # -inf >= -inf would pass
         dict(slack=math.inf),
     ])
-    def test_non_finite_fields_are_trial_errors(self, fields):
-        base = dict(lhs=0.0, rhs=0.0, slack=0.0, tol=1e-10, trial_seed=5)
-        with pytest.raises(CampaignTrialError) as info:
+    def test_non_finite_fields_raise_non_finite_result(self, fields):
+        # they raised CampaignTrialError with a trial_seed field no caller set
+        base = dict(lhs=0.0, rhs=0.0, slack=0.0, tol=1e-10)
+        with pytest.raises(NonFiniteResult, match="not finite"):
             CheckResult(**(base | fields))
-        assert info.value.trial_seed == 5
-        assert isinstance(info.value.cause, NonFiniteResult)
+
+
+# finite matrices whose values overflow: F(_LOW) + F(_HIGH) = 2e308 for
+# F = log tr exp; _SPREAD + _TILTED is finite, but log tr(exp _SPREAD exp
+# _TILTED) is about 1.995e308; the sum of the eigenvalues of _TWICE_1E308 is
+# 2e308; lse's midpoint residual stays finite where its spectra do, so
+# convexity_check gets BIG_BLOCK, whose eigenvalue 2e308 overflows
+_LOW, _HIGH = diag(1e308, 0.0), diag(0.0, 1e308)
+_SPREAD = diag(1e308, -1e308)
+_TILTED = HermitianMatrix(np.array([[-0.99e308, 0.1e308], [0.1e308, 0.99e308]]))
+_SUM = lift(builtin("sum"))
+_TWICE_1E308 = diag(1e308, 1e308)
+
+
+class TestNonFiniteValues:
+    # every public path that computes a value raises NonFiniteResult for a
+    # non-finite one; only run_campaign and replay wrap it in CampaignTrialError
+    @quiet
+    @pytest.mark.parametrize("evaluate", [
+        pytest.param(lambda: gt_weak_check(_LOW, _HIGH), id="gt_weak_check"),
+        pytest.param(lambda: gt_strong_check(_SPREAD, _TILTED), id="gt_strong_check"),
+        pytest.param(lambda: convexity_check(BIG_BLOCK, BIG_BLOCK), id="convexity_check"),
+        pytest.param(lambda: check_unitary_invariance(_SUM, _TWICE_1E308, UnitaryMatrix(np.eye(2)), 1e-10),
+                     id="check_unitary_invariance"),
+        pytest.param(lambda: check_davis_restriction(builtin("sum"), [1e308, 1e308], 1e-10),
+                     id="check_davis_restriction"),
+        pytest.param(lambda: midpoint_convexity_residual(_SUM, _TWICE_1E308, _LOW), id="midpoint_residual"),
+        pytest.param(lambda: segment_convexity_residual(_SUM, _TWICE_1E308, _LOW, 0.3), id="segment_residual"),
+        pytest.param(lambda: check_symmetry(builtin("sum"), [1e308, 1e308]), id="check_symmetry"),
+        pytest.param(lambda: lift_eval(_SUM, _TWICE_1E308), id="lift_eval"),
+        pytest.param(lambda: builtin("sum")([1e308, 1e308]), id="call"),
+        pytest.param(lambda: CheckResult(0.0, math.inf, math.inf, 0.0), id="CheckResult"),
+    ])
+    def test_raises_non_finite_result(self, evaluate):
+        with pytest.raises(NonFiniteResult) as info:
+            evaluate()
+        assert not isinstance(info.value, CampaignTrialError)
 
 
 class TestSeedDerivation:
@@ -463,11 +503,10 @@ class TestRunCampaign:
         assert gt_module._chunk_trials(gt_module.CHECKS["DAVIS_RESTRICTION"], 16) == 512
 
     def test_non_finite_result_is_a_trial_error(self):
-        # pnorm:1e6 overflows to inf on both sides of the restriction, so the
-        # deviation is NaN; it used to count as a violation with worst_slack=nan
-        cfg = CampaignConfig(
-            "DAVIS_RESTRICTION", EnsembleSpec("gue", 8, 1.0, 1), 20, 1e-10, fn="pnorm:1e6"
-        )
+        # the sum of 8 entries up to 8e307 overflows to inf on both sides of the
+        # restriction, so the deviation is NaN; it used to count as a violation
+        # with worst_slack=nan
+        cfg = CampaignConfig("DAVIS_RESTRICTION", EnsembleSpec("diag", 8, 8e307, 1), 20, 1e-10, fn="sum")
         with pytest.raises(CampaignTrialError) as info:
             run_campaign(cfg)
         assert isinstance(info.value.cause, NonFiniteResult)
@@ -744,7 +783,7 @@ class TestReplay:
         assert min(r.slack for r in results) == report.worst_slack
 
     @pytest.mark.parametrize("cfg, cause", [
-        (CampaignConfig("DAVIS_RESTRICTION", EnsembleSpec("gue", 8, 1.0, 1), 20, 1e-10, fn="pnorm:1e6"),
+        (CampaignConfig("DAVIS_RESTRICTION", EnsembleSpec("diag", 8, 8e307, 1), 20, 1e-10, fn="sum"),
          NonFiniteResult),
         (CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 4, 1e308, 3), 20, 1e-10), NonFiniteInput),
     ])

@@ -1,12 +1,15 @@
 """Tests for spectral lifts: symmetry, unitary invariance, convexity probes."""
 
 import math
+import operator
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gtcert import (
-    CampaignTrialError,
+    CampaignConfig,
     DimensionMismatch,
     EnsembleSpec,
     HermitianMatrix,
@@ -19,12 +22,15 @@ from gtcert import (
     check_davis_restriction,
     check_symmetry,
     check_unitary_invariance,
+    derive_seed,
     lift,
     lift_eval,
     midpoint_convexity_residual,
     random_hermitian,
     random_unitary,
+    replay,
     segment_convexity_residual,
+    trial_inputs,
 )
 
 from gtcert.hermitian import generators, hermitian_stack, seed_words
@@ -62,12 +68,25 @@ class TestLiftEval:
         assert lift_eval(lift(builtin("pnorm:1")), diag(-3.0, 4.0)) == pytest.approx(7.0, abs=1e-12)
 
     def test_overflowing_value_is_an_error(self):
-        # |800|^1e6 overflows: lift_eval returned inf, although the p-norm is 800;
-        # a sum that overflows raises without numpy's warning
-        with pytest.raises(NonFiniteResult, match="not finite"):
-            lift_eval(lift(builtin("pnorm:1e6")), diag(800.0, 0.0))
-        with pytest.raises(NonFiniteResult):
-            lift_eval(lift(builtin("sum")), diag(1.7e308, 1.7e308))
+        # a sum or a norm that overflows raises without numpy's warning
+        for name in ("sum", "pnorm:1"):
+            with pytest.raises(NonFiniteResult, match="not finite"):
+                lift_eval(lift(builtin(name)), diag(1.7e308, 1.7e308))
+
+    def test_large_p_norm_neither_underflows_nor_overflows(self):
+        # (sum |x|^p)^(1/p) gave inf for 800^1e6 and a wrong 0.0 where |x|^p
+        # underflows, and a restriction campaign passed on 0.0 = 0.0
+        f = builtin("pnorm:1e6")
+        assert f([800.0, 0.0]) == lift_eval(lift(f), diag(800.0, 0.0)) == 800.0
+        assert f([0.5, 0.0]) == lift_eval(lift(f), diag(0.5, 0.0)) == 0.5
+        assert builtin("pnorm:200")([0.01, 0.0]) == 0.01
+        assert builtin("pnorm:2")([0.0, 0.0]) == 0.0
+        # the first vector of this campaign has norm 0.0171; every trial read 0.0 on both sides
+        cfg = CampaignConfig("DAVIS_RESTRICTION", EnsembleSpec("gue", 8, 0.01, 3), 50, 0.0, fn="pnorm:200")
+        seed = derive_seed(3, 0)
+        (x,) = trial_inputs(cfg, seed)
+        result = replay(cfg, seed)
+        assert result.lhs > 0 and result.rhs == pytest.approx(np.abs(x).max(), rel=0.02)
 
 
 class TestBuiltins:
@@ -93,6 +112,26 @@ class TestBuiltins:
         assert again.name == f.name
         x = np.array([[1.0, 2.0, 3.0], [0.5, -4.0, 1e-3]])
         np.testing.assert_array_equal(again.rows(x), f.rows(x))
+
+    @given(name=st.sampled_from(["lse", "max", "min", "sum", "pnorm:1", "pnorm:2.5", "pnorm:200"]),
+           x=st.lists(st.builds(operator.mul, st.sampled_from([1.0, -1.0]), st.one_of(
+               st.floats(1e307, sys.float_info.max), st.floats(0.0, sys.float_info.min), st.floats(0.0, 1e3))),
+               min_size=1, max_size=8))
+    @example(name="sum", x=[1e308, 1e308])
+    @example(name="pnorm:200", x=[0.01, 0.0])
+    def test_value_is_finite_or_an_error(self, name, x):
+        # near +-1e308, among subnormals and zeros, f(x) and F(diag(x)) are
+        # finite floats or raise NonFiniteResult, never with a numpy warning;
+        # f(x) returned inf, and pnorm underflowed to 0.0 where x is not 0
+        f = builtin(name)
+        for evaluate in (lambda: f(x), lambda: lift_eval(lift(f), HermitianMatrix(np.diag(x)))):
+            try:
+                value = evaluate()
+            except NonFiniteResult:
+                continue
+            assert type(value) is float and math.isfinite(value)
+            if name.startswith("pnorm"):
+                assert (value > 0.0) == any(x)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -161,9 +200,8 @@ class TestCheckSymmetry:
         # was printed before the error, as check_davis_restriction never did
         for check in (lambda x: check_symmetry(builtin("sum"), x),
                       lambda x: check_davis_restriction(builtin("sum"), x, 1e-10)):
-            with pytest.raises(CampaignTrialError) as info:
+            with pytest.raises(NonFiniteResult, match="not finite"):
                 check([1e308, 1e308])
-            assert isinstance(info.value.cause, NonFiniteResult)
 
 
 class TestUnitaryInvariance:
@@ -236,14 +274,13 @@ class TestConvexityResiduals:
     def test_overflowing_residual_is_an_error(self):
         # both residuals returned NaN here, which passes a `residual < -tol`
         # test; they raise the error the checks raise on the same overflow
-        f = lift(builtin("pnorm:1e6"))
-        a, b = diag(800.0, 0.0), diag(0.0, 800.0)
+        f = lift(builtin("sum"))
+        a, b = diag(1e308, 1e308), diag(1e308, 1e307)
         for residual in (lambda: midpoint_convexity_residual(f, a, b),
                          lambda: segment_convexity_residual(f, a, b, 0.3),
                          lambda: check_unitary_invariance(f, a, UnitaryMatrix(np.eye(2)), 1e-10)):
-            with pytest.raises(CampaignTrialError) as info:
+            with pytest.raises(NonFiniteResult, match="not finite"):
                 residual()
-            assert isinstance(info.value.cause, NonFiniteResult)
 
     def test_sizes_must_match(self):
         f = lift(builtin("lse"))
