@@ -131,7 +131,8 @@ def _log_trace_exp_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     With A = U diag(a) U* and B = V diag(b) V*, tr(exp A exp B) is
     sum_ij exp(a_i + b_j) |(U*V)_ij|^2, so its log is one lse over the n^2
-    terms a_i + b_j + log |(U*V)_ij|^2; zero overlaps contribute -inf terms.
+    terms a_i + b_j + log |(U*V)_ij|^2; a zero overlap's term is set to -inf,
+    so it adds exp(-inf) = 0 even where a_i + b_j overflows.
     """
     w, v = stacked_spectrum(np.concatenate([a, b]), vectors=True)
     (wa, wb), (va, vb) = np.split(w, 2), np.split(v, 2)
@@ -139,6 +140,7 @@ def _log_trace_exp_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_weight = np.log(overlap.real ** 2 + overlap.imag ** 2)
     terms = wa[:, :, None] + wb[:, None, :] + log_weight
+    terms[log_weight == -np.inf] = -np.inf
     return lse_rows(terms.reshape(terms.shape[0], -1))
 
 

@@ -196,11 +196,23 @@ def near_hermitian_rows(stack: np.ndarray, tol: float, what: str) -> np.ndarray:
 def symmetrized(stack: np.ndarray) -> np.ndarray:
     """M/2 + M*/2 for each M of a (T, n, n) stack: exactly conjugate-symmetric, with a real diagonal.
 
-    Halving before adding keeps entries near the double-precision limit
-    finite, and outside the subnormal range gives the bits of (M + M*)/2.
+    The one rule that makes a stack exactly Hermitian: ensemble draws, matrix
+    files and U* A U go through it.  Halving first keeps every finite M finite
+    and gives the bits of (M + M*)/2, except where a half is subnormal and rounds.
     """
     half = 0.5 * stack
     return half + conj_t(half)
+
+
+def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im as complex128, set part by part so that every bit is kept.
+
+    re + 1j * im forms 0 * im: that turns a -0.0 real part into 0.0, and an
+    infinite im into a NaN real part with a numpy warning.
+    """
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 # numpy's SeedSequence: hashmix/mix constants over uint32 words, a 4-word pool
@@ -348,24 +360,18 @@ def _normal_stack(rngs, shape: tuple, scale: float = 1.0) -> np.ndarray:
 def hermitian_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
     """One draw of the ensemble per generator, as a (T, n, n) stack of exactly Hermitian arrays.
 
-    Each generator draws its whole matrix before the next is advanced (GUE:
-    the real then the imaginary n x n block), and the symmetrization runs on
-    the stack.  The stack is complex128 for gue and float64 for goe and diag,
-    whose matrices are real symmetric.  Entries that overflow come out as inf
-    or NaN without a numpy warning; a campaign makes them a NonFiniteInput
-    trial error.
+    Each generator draws its whole matrix before the next is advanced (GUE: the
+    real then the imaginary n x n block), and `symmetrized` makes each draw exact:
+    complex128 for gue, real symmetric float64 for goe and diag.  A normal draw that
+    overflowed gives inf or NaN without a numpy warning, a NonFiniteInput in a campaign.
     """
-    n = ens.n
+    if ens.kind == "diag":
+        return diagonal_stack(vector_stack(ens, rngs))
+    g = _normal_stack(rngs, (2, ens.n, ens.n) if ens.kind == "gue" else (ens.n, ens.n), ens.scale)
     if ens.kind == "gue":
-        g = _normal_stack(rngs, (2, n, n), ens.scale)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = g[:, 0] + 1j * g[:, 1]
-            return (g + conj_t(g)) / 2.0
-    if ens.kind == "goe":
-        g = _normal_stack(rngs, (n, n), ens.scale)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (g + g.swapaxes(-1, -2)) / 2.0
-    return diagonal_stack(vector_stack(ens, rngs))
+        g = complex_from_parts(g[:, 0], g[:, 1])
+    with np.errstate(invalid="ignore"):  # inf - inf, and 0 * inf in halving an infinite part
+        return symmetrized(g)
 
 
 def vector_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
@@ -392,7 +398,7 @@ def haar_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
     distribution exactly Haar rather than merely unitary.
     """
     g = _normal_stack(rngs, (2, ens.n, ens.n))
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    q, r = np.linalg.qr(complex_from_parts(g[:, 0], g[:, 1]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0  # zero diagonal has probability zero; keep the phase defined
     return q * (d / np.abs(d))[:, None, :]
@@ -404,10 +410,7 @@ def random_hermitian(spec: EnsembleSpec) -> HermitianMatrix:
 
 
 def random_vector(spec: EnsembleSpec) -> np.ndarray:
-    """Length-n draw from the ensemble's diagonal-entry law.
-
-    gue/goe give i.i.d. N(0, scale^2); diag gives i.i.d. uniform on [-scale, scale].
-    """
+    """Length-n draw of the diagonal-entry law: i.i.d. N(0, scale^2), or uniform on [-scale, scale] for diag."""
     return vector_stack(spec, _fresh(spec.seed))[0]
 
 

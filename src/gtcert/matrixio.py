@@ -16,7 +16,7 @@ import numpy as np
 
 from .checks import require_positive_int
 from .errors import MatrixParseError
-from .hermitian import HermitianMatrix, validate_hermitian
+from .hermitian import HermitianMatrix, complex_from_parts, validate_hermitian
 
 LOAD_TOL = 1e-10
 
@@ -53,13 +53,7 @@ def loads_matrix(text: str) -> HermitianMatrix:
     if "re" not in doc:
         raise MatrixParseError("missing field 're'")
     re = _block(doc, "re", n)
-    if "im" not in doc:
-        return validate_hermitian(re, LOAD_TOL)
-    # set part by part: re + 1j * im would compute 0 * im and 1 * im and add
-    # them, which turns -0.0 into 0.0 (and warns on an infinite im entry)
-    m = np.empty((n, n), dtype=np.complex128)
-    m.real, m.imag = re, _block(doc, "im", n)
-    return validate_hermitian(m, LOAD_TOL)
+    return validate_hermitian(re if "im" not in doc else complex_from_parts(re, _block(doc, "im", n)), LOAD_TOL)
 
 
 def load_matrix(path: str) -> HermitianMatrix:

@@ -204,6 +204,15 @@ class TestGtStrongCheck:
         with pytest.raises(NonFiniteInput):
             gt_strong_check(BIG, BIG)
 
+    @quiet
+    def test_zero_overlap_beside_an_overflowing_sum(self):
+        # a_i + b_j = 2e308 overflows where the eigenvectors do not overlap:
+        # that term is exp(-inf) = 0, not the NaN of inf + (-inf)
+        a, b = diag(1e308, 0.0), diag(0.0, 1e308)
+        assert log_trace_exp_product(a, b) == 1e308
+        res = gt_strong_check(a, b)
+        assert res.passed and (res.lhs, res.rhs, res.slack) == (1e308, 1e308, 0.0)
+
 
 class TestConvexityCheck:
     def test_equal_endpoints(self):

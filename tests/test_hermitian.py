@@ -33,6 +33,7 @@ from gtcert.checks import quiet_rows
 from gtcert.gt import CHECKS, derive_seeds
 from gtcert.hermitian import (
     ENSEMBLE_KINDS,
+    complex_from_parts,
     conj_t,
     diagonal_stack,
     generators,
@@ -278,6 +279,38 @@ class TestEnsembles:
                 assert not np.isfinite(hermitian_stack(EnsembleSpec(kind, 4, 1.7e308, 0), rngs)).all()
                 vectors = [random_vector(EnsembleSpec(kind, 4, 1.7e308, seed)) for seed in range(8)]
                 assert not np.isfinite(vectors).all()
+
+    def test_finite_draw_near_the_limit_stays_finite(self):
+        # 2 * 1.02e308 overflows, so (g + g*) / 2 would make this finite draw
+        # inf; symmetrized halves first
+        h = random_hermitian(EnsembleSpec("goe", 1, 5e307, 3))
+        assert h.entries.tolist() == [[1.0204595606925913e308]]
+
+    @pytest.mark.parametrize("kind, shape", [("gue", (2, 8, 8)), ("goe", (8, 8))])
+    def test_draw_raises_only_where_numpy_overflows(self, kind, shape):
+        raised = 0
+        for seed in range(64):
+            raw = np.random.Generator(np.random.PCG64(seed)).normal(0.0, 5e307, shape)
+            spec = EnsembleSpec(kind, 8, 5e307, seed)
+            if np.isfinite(raw).all():
+                assert np.isfinite(random_hermitian(spec).entries).all()
+            else:
+                raised += 1
+                with pytest.raises(NonFiniteInput):
+                    random_hermitian(spec)
+        assert 0 < raised < 16
+
+    def test_complex_from_parts_keeps_every_bit(self):
+        re = np.array([-0.0, 0.0, 1.5, -2.0])
+        im = np.array([0.0, -0.0, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = complex_from_parts(re, im)
+        assert z.dtype == np.complex128
+        np.testing.assert_array_equal(np.signbit(z.real), np.signbit(re))
+        np.testing.assert_array_equal(np.signbit(z.imag), np.signbit(im))
+        np.testing.assert_array_equal(z.real, re)
+        np.testing.assert_array_equal(z.imag, im)
 
     def test_gue_offdiagonal_second_moment(self):
         # mean |entry|^2 off the diagonal should be scale^2 = 1 within 10%
