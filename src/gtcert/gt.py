@@ -1,7 +1,8 @@
 """Trace-inequality checks and seeded randomized campaigns.
 
 The central quantity is F(A) = log tr exp(A), computed on the spectrum as a
-log-sum-exp so that nothing overflows.  The product-form trace inequality
+log-sum-exp so that nothing overflows, by the one lift kernel
+`SymmetricScalarFunction.lift_rows` of lse.  The product-form trace inequality
 
     tr exp(A + B) <= tr exp(A) * tr exp(B)
 
@@ -122,10 +123,6 @@ def derive_seeds(seeds, indices) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _log_trace_exp_rows(stack: np.ndarray) -> np.ndarray:
-    return lse_rows(stacked_spectrum(stack))
-
-
 def _log_trace_exp_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log tr(exp A exp B) per row, entirely in the log domain.
 
@@ -144,14 +141,15 @@ def _log_trace_exp_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lse_rows(terms.reshape(terms.shape[0], -1))
 
 
+# f is lse: CampaignConfig refuses an fn for the GT kinds
 def _gt_weak(f, a, b):
-    fa, fb, fs = np.split(_log_trace_exp_rows(np.concatenate([a, b, a + b])), 3)
+    fa, fb, fs = f.lift_rows(a, b, a + b)
     rhs = fa + fb
     return fs, rhs, rhs - fs
 
 
 def _gt_strong(f, a, b):
-    lhs = _log_trace_exp_rows(a + b)
+    (lhs,) = f.lift_rows(a + b)
     rhs = _log_trace_exp_product_rows(a, b)
     return lhs, rhs, rhs - lhs
 
@@ -172,7 +170,8 @@ def _hessian_fd_match(f, x):
 
 def log_trace_exp(a: HermitianMatrix) -> float:
     """log tr exp(A) = lse(eigenvalues of A); finite for any finite spectrum."""
-    return float(_log_trace_exp_rows(a.entries[None])[0])
+    (value,) = quiet_rows(builtin("lse").lift_rows, a.entries[None], names=("log tr exp A",))
+    return float(value[0])
 
 
 def log_trace_exp_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
@@ -188,7 +187,7 @@ def gt_weak_check(
 ) -> CheckResult:
     """Certify log tr exp(A+B) <= log tr exp(A) + log tr exp(B)."""
     _same_n(a, b)
-    return first_result(_gt_weak, None, a.entries[None], b.entries[None], tol=tol)
+    return first_result(_gt_weak, builtin("lse"), a.entries[None], b.entries[None], tol=tol)
 
 
 def gt_strong_check(
@@ -196,7 +195,7 @@ def gt_strong_check(
 ) -> CheckResult:
     """Certify log tr exp(A+B) <= log tr(exp A exp B).  Supplementary check."""
     _same_n(a, b)
-    return first_result(_gt_strong, None, a.entries[None], b.entries[None], tol=tol)
+    return first_result(_gt_strong, builtin("lse"), a.entries[None], b.entries[None], tol=tol)
 
 
 def convexity_check(
@@ -244,9 +243,10 @@ class CheckKind:
     `derive_seed(trial_seed, k)` (`trial_inputs` returns one trial's draws, and
     `replay` checks them).  The runner then calls
     `evaluate(f, *stacks)`, which returns (lhs, rhs, slack) arrays with one
-    entry per trial; `f` is the campaign's built-in function, used by the
-    kinds that lift one.  An evaluator may concatenate stacks of T trials
-    before a solver call, so an Error's `row` names trial `row % T`.
+    entry per trial; `f` is always the campaign's built-in function, lse for
+    the kinds that refuse an `fn`, and every kind that lifts a function
+    computes F through `f.lift_rows`.  An evaluator may concatenate stacks of
+    T trials before a solver call, so an Error's `row` names trial `row % T`.
     `entries(n)`, a positive int, sets the chunk size: about how many float64
     entries one trial holds while its chunk is sampled and evaluated, or
     fewer for a kind whose cost per trial does not grow with the chunk.
@@ -396,7 +396,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     t0 = time.perf_counter()
     ens, tol = config.ensemble, config.tol
     check = CHECKS[config.check_kind]
-    f = None if config.fn is None else builtin(config.fn)
+    f = builtin(config.fn or "lse")
     violations = 0
     worst_slack = worst_seed = None
     for indices, seeds, stacks in _chunks(check, ens, config.trials, _chunk_trials(check, ens.n)):
@@ -434,7 +434,7 @@ def replay(config: CampaignConfig, trial_seed: int) -> CheckResult:
     False exactly for a trial the campaign counts as a violation.  A trial
     that errors raises the campaign's CampaignTrialError, with `trial_index` None.
     """
-    f = None if config.fn is None else builtin(config.fn)
+    f = builtin(config.fn or "lse")
     stacks = [x[None] for x in trial_inputs(config, trial_seed)]
     (lhs,), (rhs,), (slack,) = _check_chunk(CHECKS[config.check_kind], f, stacks, [None], [trial_seed])
     return CheckResult(float(lhs), float(rhs), float(slack), config.tol)

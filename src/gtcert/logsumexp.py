@@ -76,16 +76,26 @@ class PsdCertificate:
     passed: bool
 
 
+def _max_shifted(x: np.ndarray) -> tuple:
+    """(m, x - m) with m the maximum along the last axis, kept as an axis of length 1.
+
+    A finite row whose spread exceeds the float range gives -inf in x - m,
+    whose exp is the intended 0, so numpy's overflow warning is silenced.
+    """
+    m = x.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        return m, x - m
+
+
 def lse_rows(x: np.ndarray) -> np.ndarray:
     """lse along the last axis of a finite array, max-shifted row by row.
 
     The one implementation behind `lse` and every stacked check, so a
     campaign and a replayed single check compute the same bits.
     """
-    m = x.max(axis=-1)
-    w = x - m[..., None]
+    m, w = _max_shifted(x)
     np.exp(w, out=w)  # in place: one temporary the size of x, not two
-    return m + np.log(w.sum(axis=-1))
+    return m[..., 0] + np.log(w.sum(axis=-1))
 
 
 def lse(x) -> float:
@@ -99,8 +109,7 @@ def lse(x) -> float:
 
 def softmax(x) -> SoftmaxWeights:
     """Gradient of lse: p_i = exp(x_i - lse(x)), normalized to sum exactly near 1."""
-    arr = _as_vector(x)
-    w = np.exp(arr - arr.max())
+    w = np.exp(_max_shifted(_as_vector(x))[1])
     return SoftmaxWeights(w / w.sum())
 
 
@@ -110,7 +119,7 @@ def hessian_rows(x: np.ndarray) -> np.ndarray:
     With w = exp(x - max x) and S = sum w: off-diagonal -w_i w_j / S^2 and
     diagonal w_i (S - w_i) / S^2.
     """
-    w = np.exp(x - x.max(axis=-1, keepdims=True))
+    w = np.exp(_max_shifted(x)[1])
     s = w.sum(axis=-1)[:, None]
     h = -(w[:, :, None] * w[:, None, :]) / (s * s)[:, :, None]
     i = np.arange(x.shape[-1])
@@ -137,7 +146,7 @@ def hessian_fd_rows(x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     of each row, as C-contiguous rows along the last axis, go through one
     `lse_rows` call.
     """
-    x = x - x.max(axis=-1, keepdims=True)
+    x = _max_shifted(x)[1]
     t, n = x.shape
     i, j = np.triu_indices(n)
     pair = np.arange(i.shape[0])

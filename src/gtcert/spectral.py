@@ -33,6 +33,7 @@ class SymmetricScalarFunction:
     `rows` maps a finite (T, n) array to its T values, one per row, for any n.
     Calling the function evaluates `rows` on one vector under
     `checks.quiet_rows`, so a value that overflows raises NonFiniteResult.
+    `lift_rows` evaluates the lift F = f(spectrum) on stacks of matrices.
     """
 
     name: str
@@ -41,6 +42,18 @@ class SymmetricScalarFunction:
     def __call__(self, x) -> float:
         (value,) = quiet_rows(lambda v: (self.rows(v),), _as_vector(x)[None], names=(self.name,))
         return float(value[0])
+
+    def lift_rows(self, *stacks) -> tuple:
+        """F of every matrix of each (T, n, n) stack, all of one T, as one array per stack.
+
+        The one place F is computed: the spectra of all the stacks come from
+        one `stacked_spectrum` call over their concatenation (a lone stack is
+        passed as it is), and `rows` maps them to values.  An Error's `row`
+        indexes that concatenation.
+        """
+        values = self.rows(stacked_spectrum(stacks[0] if len(stacks) == 1 else np.concatenate(stacks)))
+        t = len(stacks[0])
+        return tuple(values[k * t:(k + 1) * t] for k in range(len(stacks)))  # views, cheaper than np.split
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,8 @@ def lift_eval(func: SpectralFunction, a: HermitianMatrix) -> float:
 
     A value that overflows raises NonFiniteResult, as the base function does.
     """
-    return func.base(stacked_spectrum(a.entries[None])[0])
+    (value,) = quiet_rows(func.base.lift_rows, a.entries[None], names=(func.name,))
+    return float(value[0])
 
 
 def check_symmetry(
@@ -119,8 +133,7 @@ def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.nda
     require_finite_rows(a, "matrix")  # an infinite A is named, not the NaN it leaves in U* A U
     m = conj_t(u) @ a @ u
     require_finite_rows(m, "U* A U")  # a finite A can still make U* A U overflow
-    values = f.rows(stacked_spectrum(np.concatenate([a, symmetrized(m)])))
-    reference, rotated = np.split(values, 2)
+    reference, rotated = f.lift_rows(a, symmetrized(m))
     return rotated, reference, -np.abs(rotated - reference)
 
 
@@ -140,7 +153,7 @@ def segment_rows(f: SymmetricScalarFunction, a: np.ndarray, b: np.ndarray, t: fl
     gives the bits of (A + B)/2 outside the subnormal range, and stays
     finite where A + B overflows.
     """
-    fa, fb, fp = np.split(f.rows(stacked_spectrum(np.concatenate([a, b, t * a + (1 - t) * b]))), 3)
+    fa, fb, fp = f.lift_rows(a, b, t * a + (1 - t) * b)
     chord = t * fa + (1 - t) * fb
     return fp, chord, chord - fp
 
@@ -172,7 +185,7 @@ def segment_convexity_residual(
 def davis_restriction_rows(f: SymmetricScalarFunction, x: np.ndarray):
     """(lhs, rhs, slack) arrays of the lift of f at diag(x) against f(x), per row of x."""
     direct = f.rows(x)
-    lifted = f.rows(stacked_spectrum(diagonal_stack(x)))
+    (lifted,) = f.lift_rows(diagonal_stack(x))
     return lifted, direct, -np.abs(lifted - direct)
 
 

@@ -396,6 +396,12 @@ class TestErratumCommand:
     def test_malformed_vector(self, capsys):
         assert main(["erratum-dkd", "--x", "1,abc"]) == 2
 
+    def test_overflowing_spread_is_one_error_line(self):
+        # x - max x overflows to -inf, and numpy's warning is not printed next to the error
+        done = run_module("erratum-dkd", "--x=1.7e308,-1.7e308")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
 
 def run_module(*args):
     """`python -m gtcert args...` in a fresh interpreter, with this checkout's gtcert."""

@@ -49,6 +49,7 @@ import gtcert.gt as gt_module
 from gtcert.checks import slack_bound
 from gtcert.errors import require_rows
 from gtcert.gt import CHECK_KINDS
+from gtcert.spectral import SymmetricScalarFunction
 from oracles import expm_taylor
 
 
@@ -886,3 +887,46 @@ class TestRealAndComplexPairs:
                     real, cast = values(a, b), values(as_complex(a), as_complex(b))
                     for x, y in zip(real, cast):
                         assert abs(x - y) <= c * n * u * norm, (check, scale, seed, x, y)
+
+
+# the kinds whose evaluators lift a function: all but the two Hessian kinds
+LIFT_KINDS = ("GT_WEAK", "GT_STRONG", "MIDPOINT_CONVEXITY", "UNITARY_INVARIANCE", "DAVIS_RESTRICTION")
+
+# every public path to F = f(spectrum): campaigns, replay, the single checks and evaluations
+F_CALLERS = {
+    **{f"run_campaign {kind}": lambda kind=kind: run_campaign(config(kind, trials=3)) for kind in LIFT_KINDS},
+    **{f"replay {kind}": lambda kind=kind: replay(config(kind), derive_seed(99, 0)) for kind in LIFT_KINDS},
+    "gt_weak_check": lambda: gt_weak_check(gue(3, 1), gue(3, 2)),
+    "gt_strong_check": lambda: gt_strong_check(gue(3, 1), gue(3, 2)),
+    "convexity_check": lambda: convexity_check(gue(3, 1), gue(3, 2)),
+    "midpoint_convexity_residual": lambda: midpoint_convexity_residual(lift(builtin("max")), gue(3, 1), gue(3, 2)),
+    "segment_convexity_residual": lambda: segment_convexity_residual(lift(builtin("sum")), gue(3, 1), gue(3, 2), 0.25),
+    "check_unitary_invariance": lambda: check_unitary_invariance(lift(builtin("lse")), gue(3, 1),
+                                                                 random_unitary(3, 2), 1e-10),
+    "check_davis_restriction": lambda: check_davis_restriction(builtin("min"), [3.0, 1.0, 2.0], 1e-10),
+    "log_trace_exp": lambda: log_trace_exp(gue(3, 1)),
+    "lift_eval": lambda: lift_eval(lift(builtin("pnorm:3")), gue(3, 1)),
+}
+
+
+class TestOneLiftKernel:
+    """F is computed in one place, `SymmetricScalarFunction.lift_rows`, so a bug in F reaches every kind."""
+
+    @pytest.mark.parametrize("caller", F_CALLERS)
+    def test_every_path_to_F_calls_lift_rows(self, caller, monkeypatch):
+        original, lifted = SymmetricScalarFunction.lift_rows, []
+
+        def recorder(f, *stacks):
+            lifted.append(f)
+            return original(f, *stacks)
+
+        monkeypatch.setattr(SymmetricScalarFunction, "lift_rows", recorder)
+        F_CALLERS[caller]()
+        assert lifted
+
+    @pytest.mark.parametrize("kind", ["gue", "goe", "diag"])
+    def test_log_trace_exp_is_the_lift_of_lse(self, kind):
+        for n in (1, 2, 8):
+            for seed in range(5):
+                a = random_hermitian(EnsembleSpec(kind, n, 10.0 ** (seed - 2), seed))
+                assert log_trace_exp(a) == lift_eval(lift(builtin("lse")), a)

@@ -20,6 +20,7 @@ from gtcert import (
     complete_graph_laplacian,
     dkd_product,
     hessian_fd,
+    log_trace_exp,
     lse,
     lse_hessian_analytic,
     psd_certify,
@@ -28,6 +29,12 @@ from gtcert import (
 from gtcert.logsumexp import hessian_fd_rows, hessian_rows
 
 LOG_3 = 1.0986122886681098
+
+# numpy's warnings fail these tests, as a warning printed by the CLI would be a second stderr line
+quiet = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+# a finite vector whose spread overflows: x - max x holds -inf, whose exp is the intended 0
+WIDE = [1.7e308, -1.7e308]
 
 
 def weighted_laplacian(p: np.ndarray) -> np.ndarray:
@@ -78,6 +85,22 @@ class TestLse:
     @given(vectors, st.floats(min_value=-50.0, max_value=50.0))
     def test_translation(self, x, c):
         assert lse(x + c) == pytest.approx(lse(x) + c, abs=1e-10)
+
+
+@quiet
+class TestSpreadBeyondTheFloatRange:
+    def test_lse_is_the_maximum(self):
+        assert lse(WIDE) == 1.7e308
+        assert log_trace_exp(HermitianMatrix(np.diag(WIDE))) == 1.7e308
+
+    def test_hessians_are_zero(self):
+        assert not lse_hessian_analytic(WIDE).entries.any()
+        assert not hessian_fd(WIDE).entries.any()
+
+    def test_softmax_weight_underflows(self):
+        for weights in (softmax, dkd_product):
+            with pytest.raises(ValueError, match="strictly positive"):
+                weights(WIDE)
 
 
 class TestSoftmax:

@@ -1,22 +1,37 @@
-"""Mutation suite: campaigns over a small fixed grid catch known bugs in the log-trace-exp kernels.
+"""Mutation suite: campaigns over a small fixed grid catch known bugs in the two F kernels.
 
-Each mutant replaces `gt._log_trace_exp_rows` or `gt._log_trace_exp_product_rows`
-and runs GT_WEAK and GT_STRONG over gue/goe/diag x n in {1, 2, 8} x scale in
-{1, 1000}, 200 trials each, seed 11, tol 1e-10: 36 campaigns.  A mutant is
-caught when a campaign reports a violation or aborts with a CampaignTrialError.
-The mutants that no campaign catches are strict xfails, each naming the check
-kind that should catch it (ROADMAP item 2); a new kind that catches one turns
-its xfail into a failure, and the mark then goes.
+Each mutant replaces the lift kernel `SymmetricScalarFunction.lift_rows`, which
+computes F = f(spectrum) for every kind that lifts a function, or the product
+kernel `gt._log_trace_exp_product_rows`, which only GT_STRONG calls.  It then
+runs the kinds that call the kernel it replaces (GT_WEAK, GT_STRONG,
+MIDPOINT_CONVEXITY, UNITARY_INVARIANCE and DAVIS_RESTRICTION for the lift
+kernel, GT_STRONG for the product kernel) over gue/goe/diag x n in {1, 2, 8} x
+scale in {1, 1000}, 200 trials each, seed 11, tol 1e-10: 90 or 18 campaigns.
+A mutant is caught when a campaign reports a violation or aborts with a
+CampaignTrialError.  The mutants that no campaign catches are strict xfails,
+each naming the check kind that should catch it (ROADMAP item 2); a new kind
+that catches one turns its xfail into a failure, and the mark then goes.
 """
 
 import numpy as np
 import pytest
 
-from gtcert import CampaignConfig, CampaignTrialError, EnsembleSpec, gt, run_campaign
+from gtcert import CampaignConfig, CampaignTrialError, EnsembleSpec, builtin, gt, run_campaign
 from gtcert.hermitian import conj_t, stacked_spectrum
 from gtcert.logsumexp import lse_rows
+from gtcert.spectral import SymmetricScalarFunction
 
-LSE_ROWS = gt._log_trace_exp_rows
+# (owner, attribute, the kinds whose code calls it) of each kernel a mutant replaces
+LIFT = (SymmetricScalarFunction, "lift_rows",
+        ("GT_WEAK", "GT_STRONG", "MIDPOINT_CONVEXITY", "UNITARY_INVARIANCE", "DAVIS_RESTRICTION"))
+PRODUCT = (gt, "_log_trace_exp_product_rows", ("GT_STRONG",))
+
+
+def lift_rows(values):
+    """A `lift_rows` that maps the concatenated stacks to `values(stack)`, split back per stack."""
+    def rows(f, *stacks):
+        return tuple(np.split(values(np.concatenate(stacks)), len(stacks)))
+    return rows
 
 
 def product_rows(log_weight):
@@ -30,29 +45,26 @@ def product_rows(log_weight):
 
 
 MUTANTS = {
-    "sign flip": ("_log_trace_exp_rows", lambda s: -LSE_ROWS(s)),
-    "lse without the max shift": ("_log_trace_exp_rows", lambda s: np.log(np.exp(stacked_spectrum(s)).sum(axis=1))),
-    "transposed overlap": ("_log_trace_exp_product_rows",
-                           product_rows(lambda o: np.log(np.abs(o.swapaxes(-1, -2)) ** 2))),
-    "lse(diag A)": ("_log_trace_exp_rows", lambda s: lse_rows(np.diagonal(s, axis1=1, axis2=2).real)),
-    "lambda_max": ("_log_trace_exp_rows", lambda s: stacked_spectrum(s)[:, -1]),
-    "unsquared log|overlap|": ("_log_trace_exp_product_rows", product_rows(lambda o: np.log(np.abs(o)))),
-    "rhs = F(A) + F(B)": ("_log_trace_exp_product_rows", lambda a, b: LSE_ROWS(a) + LSE_ROWS(b)),
+    "sign flip": (LIFT, lift_rows(lambda s: -lse_rows(stacked_spectrum(s)))),
+    "lse without the max shift": (LIFT, lift_rows(lambda s: np.log(np.exp(stacked_spectrum(s)).sum(axis=1)))),
+    "transposed overlap": (PRODUCT, product_rows(lambda o: np.log(np.abs(o.swapaxes(-1, -2)) ** 2))),
+    "lse(diag A)": (LIFT, lift_rows(lambda s: lse_rows(np.diagonal(s, axis1=1, axis2=2).real))),
+    "lambda_max": (LIFT, lift_rows(lambda s: stacked_spectrum(s)[:, -1])),
+    "unsquared log|overlap|": (PRODUCT, product_rows(lambda o: np.log(np.abs(o)))),
+    "rhs = F(A) + F(B)": (PRODUCT, lambda a, b: np.add(*builtin("lse").lift_rows(a, b))),
 }
 
-# the mutants that survive every campaign of the grid, and the kind that should catch each
+# the mutants that survive every campaign of their grid, and the kind that should catch each
 SURVIVORS = {
-    "lse(diag A)": "SPECTRAL_IDENTITY",
-    "lambda_max": "SPECTRAL_IDENTITY",
     "unsquared log|overlap|": "PRODUCT_TRACE_ORACLE",
     "rhs = F(A) + F(B)": "GT_EQUALITY",
 }
 
 
-def caught_campaigns() -> int:
-    """How many campaigns of the grid report a violation or abort with a trial error."""
+def caught_campaigns(kinds) -> int:
+    """How many campaigns of the grid over `kinds` report a violation or abort with a trial error."""
     caught = 0
-    for kind in ("GT_WEAK", "GT_STRONG"):
+    for kind in kinds:
         for ensemble in ("gue", "goe", "diag"):
             for n in (1, 2, 8):
                 for scale in (1.0, 1000.0):
@@ -65,8 +77,8 @@ def caught_campaigns() -> int:
 
 
 def test_the_kernels_pass_the_grid():
-    # so that a caught mutant is caught for its mutation
-    assert caught_campaigns() == 0
+    # so that a caught mutant is caught for its mutation; the lift kinds include GT_STRONG
+    assert caught_campaigns(LIFT[2]) == 0
 
 
 @pytest.mark.parametrize("name", [
@@ -75,8 +87,8 @@ def test_the_kernels_pass_the_grid():
     for name in MUTANTS
 ])
 def test_mutant_is_caught(name, monkeypatch):
-    target, mutant = MUTANTS[name]
-    monkeypatch.setattr(gt, target, mutant)
+    (owner, attribute, kinds), mutant = MUTANTS[name]
+    monkeypatch.setattr(owner, attribute, mutant)
     # a mutant's overflow must be caught by the campaign, not by the warnings-as-errors filter
     with np.errstate(all="ignore"):
-        assert caught_campaigns() > 0
+        assert caught_campaigns(kinds) > 0
