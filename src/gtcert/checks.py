@@ -57,12 +57,11 @@ def require_seed(seed) -> None:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
-def require_finite_rows(stack: np.ndarray, what: str) -> None:
-    """Raise NonFiniteInput, with `row` the first vector or matrix of a stack that holds a NaN or an infinity."""
+def require_finite_rows(stack: np.ndarray, what: str, error=NonFiniteInput, fault="contains NaN or infinity") -> None:
+    """Raise `error(f"{what} {fault}")` with `row` the first vector or matrix of a stack that is not all finite."""
     finite = np.isfinite(stack)
     if not finite.all():  # one reduction when every row is finite, the usual case
-        ok = finite.reshape(len(stack), -1).all(axis=1)
-        require_rows(ok, NonFiniteInput, f"{what} contains NaN or infinity")
+        require_rows(finite.reshape(len(stack), -1).all(axis=1), error, f"{what} {fault}")
 
 
 def slack_bound(rhs, tol: float):

@@ -45,11 +45,11 @@ class ConvergenceFailure(Error):
 
 
 class NonFiniteInput(Error):
-    """Input holds a NaN or an infinity."""
+    """An argument or a campaign's sampled draw holds a NaN or an infinity."""
 
 
 class NonFiniteResult(Error):
-    """A computed value, such as a check's lhs, rhs or slack, is NaN or infinite (`checks.quiet_rows`)."""
+    """A value computed from finite ones is NaN or infinite: A + B, U* A U, an eigenvalue, a lhs, rhs or slack."""
 
 
 class MatrixParseError(Error):

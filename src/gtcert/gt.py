@@ -132,7 +132,8 @@ def _log_trace_exp_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so it adds exp(-inf) = 0 even where a_i + b_j overflows.
     """
     w, v = stacked_spectrum(np.concatenate([a, b]), vectors=True)
-    (wa, wb), (va, vb) = np.split(w, 2), np.split(v, 2)
+    t = len(a)
+    wa, wb, va, vb = w[:t], w[t:], v[:t], v[t:]  # views, cheaper than np.split
     overlap = conj_t(va) @ vb
     with np.errstate(divide="ignore"):
         log_weight = np.log(overlap.real ** 2 + overlap.imag ** 2)
@@ -154,16 +155,12 @@ def _gt_strong(f, a, b):
     return lhs, rhs, rhs - lhs
 
 
-# the Hessian kinds guard their vectors, as the row kernels do not: a -inf
-# entry gets softmax weight 0, so the Hessian and the stencil stay finite
 def _hessian_psd(f, x):
-    require_finite_rows(x, "vector")
     w_min = stacked_spectrum(hessian_rows(x))[:, 0]
     return w_min, np.zeros_like(w_min), w_min
 
 
 def _hessian_fd_match(f, x):
-    require_finite_rows(x, "vector")
     dev = np.abs(hessian_rows(x) - hessian_fd_rows(x)).max(axis=(1, 2))
     return dev, np.zeros_like(dev), -dev
 
@@ -241,8 +238,8 @@ class CheckKind:
     `vector_stack`; `streams[k](ensemble, generators)` draws stream k of every
     trial of the chunk as one stack.  Stream k of a trial is seeded by
     `derive_seed(trial_seed, k)` (`trial_inputs` returns one trial's draws, and
-    `replay` checks them).  The runner then calls
-    `evaluate(f, *stacks)`, which returns (lhs, rhs, slack) arrays with one
+    `replay` checks them).  The runner tests that every draw is finite, then
+    calls `evaluate(f, *stacks)`, which returns (lhs, rhs, slack) arrays with one
     entry per trial; `f` is always the campaign's built-in function, lse for
     the kinds that refuse an `fn`, and every kind that lifts a function
     computes F through `f.lift_rows`.  An evaluator may concatenate stacks of
@@ -373,11 +370,15 @@ def _chunks(check: CheckKind, ens: EnsembleSpec, trials: int, chunk: int) -> Ite
 def _check_chunk(check: CheckKind, f: SymmetricScalarFunction, stacks: list, indices, seeds: list):
     """(lhs, rhs, slack) arrays of one chunk of trials, all finite (`checks.quiet_rows`).
 
-    Any error, a non-finite value's NonFiniteResult included, becomes a
-    CampaignTrialError naming the trial it belongs to by its entries of
-    `indices` and `seeds`.
+    The draws are where a campaign's values enter, so they are tested here,
+    before `evaluate` runs: the first trial of the first stream whose draw
+    overflowed raises NonFiniteInput.  Any error becomes a CampaignTrialError
+    naming the trial it belongs to by its entries of `indices` and `seeds`.
     """
     try:
+        for stack in stacks:
+            # also for the Hessian kinds, whose evaluators would pass a -inf entry: its softmax weight is 0
+            require_finite_rows(stack, "sampled draw")
         return quiet_rows(check.evaluate, f, *stacks)
     except Error as exc:
         row = exc.row % len(seeds)

@@ -428,14 +428,16 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of every matrix in a (T, n, n) stack, in one solver call.
 
     With `vectors`, returns (eigenvalues, eigenvectors) as `np.linalg.eigh`
-    does.  It tests finiteness only, of the stack and of the eigenvalues (A + B
-    can overflow): the first bad matrix raises NonFiniteInput or NonFiniteResult
-    with its index as `row`, as does a ConvergenceFailure.  The solvers read one
-    triangle, so exact conjugate symmetry is the caller's guarantee: `HermitianMatrix`
-    entries, `hermitian_stack`, `symmetrized`, `hessian_rows`, `diagonal_stack`,
-    and sums, real multiples and concatenations of these have it.
+    does.  It tests finiteness only, of the stack and of the eigenvalues: the
+    first bad matrix raises NonFiniteResult with its index as `row`, as does a
+    ConvergenceFailure.  Values are tested where they enter, so a non-finite
+    matrix here was computed from finite ones (A + B or U* A U overflowed).
+    The solvers read one triangle, so exact conjugate symmetry is the caller's
+    guarantee: `HermitianMatrix` entries, `hermitian_stack`, `symmetrized`,
+    `hessian_rows`, `diagonal_stack`, and sums, real multiples and
+    concatenations of these have it.
     """
-    require_finite_rows(stack, "matrix")
+    require_finite_rows(stack, "computed matrix", NonFiniteResult, "is not finite")
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
         result = solve(stack)

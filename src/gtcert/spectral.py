@@ -19,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import (CheckResult, first_result, is_real, quiet_rows, require_finite_rows,
-                     require_positive_int, require_seed)
+from .checks import CheckResult, first_result, is_real, quiet_rows, require_positive_int, require_seed
 from .errors import DimensionMismatch
 from .hermitian import HermitianMatrix, UnitaryMatrix, conj_t, diagonal_stack, stacked_spectrum, symmetrized
 from .logsumexp import _as_vector, lse_rows
@@ -125,15 +124,12 @@ def check_symmetry(
 def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.ndarray):
     """(lhs, rhs, slack) arrays of F(U* A U) against F(A) for stacks of A and U.
 
-    Each A must be finite (`checks.require_finite_rows`); unitarity is not
-    tested here, since every U comes from a `UnitaryMatrix` or from
-    `haar_stack`.  Each U* A U must be finite; it is Hermitian in exact
-    arithmetic, and `symmetrized` makes it exactly so.
+    Nothing is tested here: A is finite where it enters (a `HermitianMatrix`
+    or a campaign's tested draw), and U is a `UnitaryMatrix` or a `haar_stack`
+    draw.  U* A U is Hermitian in exact arithmetic, and `symmetrized` makes it
+    exactly so; where it overflows, `stacked_spectrum` raises NonFiniteResult.
     """
-    require_finite_rows(a, "matrix")  # an infinite A is named, not the NaN it leaves in U* A U
-    m = conj_t(u) @ a @ u
-    require_finite_rows(m, "U* A U")  # a finite A can still make U* A U overflow
-    reference, rotated = f.lift_rows(a, symmetrized(m))
+    reference, rotated = f.lift_rows(a, symmetrized(conj_t(u) @ a @ u))
     return rotated, reference, -np.abs(rotated - reference)
 
 

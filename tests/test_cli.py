@@ -368,6 +368,15 @@ class TestSingleCheckMode:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["slack"] == pytest.approx(0.4337808304830272, abs=1e-12)
 
+    def test_overflowing_sum_of_finite_files_is_not_an_input_error(self, tmp_path, capsys):
+        # both files are finite, and A + B holds 3.4e308: the error said
+        # "matrix contains NaN or infinity", blaming the files
+        w = write(tmp_path / "w.json", {"n": 2, "re": [[1.7e308, 0.0], [0.0, -1.7e308]]})
+        assert main(["verify-gt", "--seed", "0", "--matrix", w, "--matrix-b", w]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "computed matrix is not finite" in err, err
+        assert "NaN or infinity" not in err
+
     def test_lonely_matrix_flag(self, tmp_path, capsys):
         a = write(tmp_path / "a.json", ZERO_2)
         assert main(["verify-gt", "--matrix", a, "--seed", "0"]) == 2

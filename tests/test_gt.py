@@ -162,7 +162,9 @@ class TestGtWeakCheck:
 
     @quiet
     def test_overflowing_sum_is_an_error_without_a_warning(self):
-        with pytest.raises(NonFiniteInput):
+        # A and B are finite and A + B overflows: a computed value, which was
+        # reported as the NonFiniteInput "matrix contains NaN or infinity"
+        with pytest.raises(NonFiniteResult, match="computed matrix is not finite"):
             gt_weak_check(BIG, BIG)
 
     def test_infinite_tol_rejected(self):
@@ -202,7 +204,7 @@ class TestGtStrongCheck:
 
     @quiet
     def test_overflowing_sum_is_an_error_without_a_warning(self):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NonFiniteResult, match="computed matrix is not finite"):
             gt_strong_check(BIG, BIG)
 
     @quiet
@@ -574,6 +576,28 @@ class TestRunCampaign:
         assert info.value.trial_index == 0
         assert not sampled_input_is_finite(dataclasses.replace(cfg, trials=1))
 
+    def test_overflowing_sum_of_finite_draws_is_a_non_finite_result(self):
+        # trial 3 draws a finite A and B whose sum overflows; the campaign used
+        # to blame its input, as it does for a draw that overflows
+        cfg = CampaignConfig("GT_WEAK", EnsembleSpec("gue", 1, 5e307, 12), 20, 1e-10)
+        with pytest.raises(CampaignTrialError) as info:
+            run_campaign(cfg)
+        assert info.value.trial_index == 3 and info.value.trial_seed == derive_seed(12, 3)
+        assert all(np.isfinite(x).all() for x in trial_inputs(cfg, info.value.trial_seed))
+        assert type(info.value.cause) is NonFiniteResult and "computed matrix is not finite" in str(info.value.cause)
+
+    def test_pair_kinds_raise_at_the_same_draw(self):
+        # GT_STRONG tested A + B rather than the draws: it named trial 0, whose
+        # finite A and B overflow in A + B, a NonFiniteInput, where the other
+        # pair kinds named trial 45, the first that drew an infinity
+        ens = EnsembleSpec("gue", 8, 5e307, 12)
+        raised = set()
+        for kind in ("GT_WEAK", "GT_STRONG", "MIDPOINT_CONVEXITY"):
+            with pytest.raises(CampaignTrialError) as info:
+                run_campaign(CampaignConfig(kind, ens, 150, 1e-10))
+            raised.add((info.value.trial_index, type(info.value.cause)))
+        assert raised == {(45, NonFiniteInput)}
+
     def test_psd_at_the_double_limit_with_finite_vectors(self):
         report = run_campaign(
             CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 4, 1.7e308, 2), 1, 1e-10)
@@ -783,11 +807,12 @@ class TestReplay:
 
     @pytest.mark.parametrize("ensemble", ["gue", "goe"])
     def test_replay_recounts_the_violations(self, ensemble):
-        # at tol 0 a rounding-only deviation of U* A U is a violation; 150
-        # trials span three chunks
-        cfg = config("UNITARY_INVARIANCE", n=8, trials=150, tol=0.0, seed=5, kind_ens=ensemble, scale=1e6)
+        # lambda_min is concave, so its midpoint gap is a violation where it
+        # exceeds 0.3 |rhs|, far above rounding: 76 (gue) and 65 (goe) of the
+        # 150 trials, which span three chunks
+        cfg = config("MIDPOINT_CONVEXITY", n=8, trials=150, tol=0.3, seed=5, kind_ens=ensemble, scale=1e6, fn="min")
         report = run_campaign(cfg)
-        assert report.violations > 0
+        assert 0 < report.violations < 150
         results = [replay(cfg, derive_seed(5, i)) for i in range(150)]
         assert sum(not r.passed for r in results) == report.violations
         assert min(r.slack for r in results) == report.worst_slack
@@ -909,8 +934,35 @@ F_CALLERS = {
 }
 
 
+def assert_rotations_move_a(ensemble, monkeypatch):
+    """Assert that UNITARY_INVARIANCE hands `lift_rows` a U* A U far from A in every trial at n = 2 and 8.
+
+    For a Haar U and n >= 2, U* A U = A has probability zero; seed 99's
+    smallest max |U* A U - A| / max |A| is 0.39.  An evaluator that compares
+    A with itself fails here whatever the rounding, where a campaign at any
+    tol sees a deviation of exactly 0 and passes.
+    """
+    original, lifted = SymmetricScalarFunction.lift_rows, []
+
+    def recorder(f, *stacks):
+        lifted.append(stacks)
+        return original(f, *stacks)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SymmetricScalarFunction, "lift_rows", recorder)
+        for n in (2, 8):
+            run_campaign(config("UNITARY_INVARIANCE", n=n, trials=20, kind_ens=ensemble))
+    assert len(lifted) == 2
+    for a, rotated in lifted:
+        assert (np.abs(rotated - a).max(axis=(1, 2)) > 0.1 * np.abs(a).max(axis=(1, 2))).all()
+
+
 class TestOneLiftKernel:
     """F is computed in one place, `SymmetricScalarFunction.lift_rows`, so a bug in F reaches every kind."""
+
+    @pytest.mark.parametrize("ensemble", ["gue", "goe"])
+    def test_unitary_invariance_rotates_a(self, ensemble, monkeypatch):
+        assert_rotations_move_a(ensemble, monkeypatch)
 
     @pytest.mark.parametrize("caller", F_CALLERS)
     def test_every_path_to_F_calls_lift_rows(self, caller, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the Hermitian core: validation, ensembles, the stacked eigensolver."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gtcert import (
+    CampaignConfig,
+    CampaignTrialError,
     DimensionMismatch,
     EnsembleSpec,
     HermiticityViolation,
     HermitianMatrix,
     NonFiniteInput,
+    NonFiniteResult,
     NotSquareError,
     UnitarityViolation,
     UnitaryMatrix,
@@ -26,11 +30,12 @@ from gtcert import (
     random_hermitian,
     random_unitary,
     random_vector,
+    run_campaign,
     validate_hermitian,
 )
 from gtcert import hermitian
 from gtcert.checks import quiet_rows
-from gtcert.gt import CHECKS, derive_seeds
+from gtcert.gt import derive_seeds
 from gtcert.hermitian import (
     ENSEMBLE_KINDS,
     complex_from_parts,
@@ -46,7 +51,7 @@ from gtcert.hermitian import (
     vector_stack,
 )
 from gtcert.logsumexp import hessian_rows
-from gtcert.spectral import davis_restriction_rows, unitary_invariance_rows
+from gtcert.spectral import davis_restriction_rows
 from oracles import expm_taylor
 
 
@@ -61,37 +66,53 @@ def bad_rows(shape, first=-math.inf, second=math.nan):
     return stack
 
 
-_HADAMARD = np.full((4, 2, 2), 2.0 ** -0.5) * [[1.0, 1.0], [1.0, -1.0]]
+def campaign_cause(config):
+    """Run `config`'s campaign and raise the cause of the CampaignTrialError it ends with."""
+    try:
+        run_campaign(config)
+    except CampaignTrialError as exc:
+        raise exc.cause
 
-# (input rule site, call, row of the first bad vector or matrix); the stacked
-# evaluators run under quiet_rows, as campaigns run them
+
+# the error and message of each finiteness guard: inputs are tested where they
+# enter, and `stacked_spectrum`, the one other site, refuses a non-finite
+# matrix as computed (A + B or U* A U overflowed)
+BAD_MATRIX = NonFiniteInput, "matrix contains NaN or infinity"
+COMPUTED = NonFiniteResult, "computed matrix is not finite"
+
+# (finiteness rule site, call, row of the first bad vector or matrix, (error, message))
 FINITENESS_SITES = [
-    ("validate_hermitian", lambda: validate_hermitian([[1.0, 0.0], [0.0, math.nan]], 1e-10), 0),
+    ("validate_hermitian", lambda: validate_hermitian([[1.0, 0.0], [0.0, math.nan]], 1e-10), 0, BAD_MATRIX),
     # the exact constructor called a NaN a HermiticityViolation (NaN != NaN)
     # and accepted an infinity, which only stacked_spectrum refused later
-    ("HermitianMatrix NaN", lambda: HermitianMatrix([[1.0, 0.0], [0.0, math.nan]]), 0),
-    ("HermitianMatrix +inf", lambda: HermitianMatrix([[math.inf]]), 0),
-    ("HermitianMatrix -inf off the diagonal", lambda: HermitianMatrix([[0.0, -math.inf], [-math.inf, 0.0]]), 0),
-    ("UnitaryMatrix NaN", lambda: UnitaryMatrix([[math.nan]]), 0),
-    ("lse", lambda: lse([0.0, -math.inf]), 0),
-    ("stacked_spectrum", lambda: stacked_spectrum(bad_rows((3, 3))), 1),
-    ("unitary_invariance_rows A",
-     lambda: quiet_rows(unitary_invariance_rows, builtin("lse"), bad_rows((2, 2)), _HADAMARD), 1),
-    # a finite A whose U* A U overflows to 2e308 in rows 1 and 3
-    ("unitary_invariance_rows U* A U",
-     lambda: quiet_rows(unitary_invariance_rows, builtin("lse"), bad_rows((2, 2), 1e308, 1e308), _HADAMARD), 1),
-    ("HESSIAN_PSD", lambda: quiet_rows(CHECKS["HESSIAN_PSD"].evaluate, None, bad_rows((3,))), 1),
-    ("HESSIAN_FD_MATCH", lambda: quiet_rows(CHECKS["HESSIAN_FD_MATCH"].evaluate, None, bad_rows((3,))), 1),
-    ("davis_restriction_rows", lambda: quiet_rows(davis_restriction_rows, builtin("lse"), bad_rows((3,))), 1),
+    ("HermitianMatrix NaN", lambda: HermitianMatrix([[1.0, 0.0], [0.0, math.nan]]), 0, BAD_MATRIX),
+    ("HermitianMatrix +inf", lambda: HermitianMatrix([[math.inf]]), 0, BAD_MATRIX),
+    ("HermitianMatrix -inf off the diagonal", lambda: HermitianMatrix([[0.0, -math.inf], [-math.inf, 0.0]]), 0,
+     BAD_MATRIX),
+    ("UnitaryMatrix NaN", lambda: UnitaryMatrix([[math.nan]]), 0,
+     (NonFiniteInput, "unitary contains NaN or infinity")),
+    ("lse", lambda: lse([0.0, -math.inf]), 0, (NonFiniteInput, "vector contains NaN or infinity")),
+    # a campaign's draws, tested once per chunk before any evaluator runs:
+    # trial 3's vector holds -inf (and no +inf), whose softmax weight is 0, so
+    # the Hessian evaluators would pass it; the row is the trial
+    ("run_campaign",
+     lambda: campaign_cause(CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 3, 1e308, 6), 6, 1e-10)), 3,
+     (NonFiniteInput, "sampled draw contains NaN or infinity")),
+    ("stacked_spectrum", lambda: stacked_spectrum(bad_rows((3, 3))), 1, COMPUTED),
+    # an evaluator trusts its inputs; the solver still refuses diag(x)
+    ("davis_restriction_rows", lambda: quiet_rows(davis_restriction_rows, builtin("lse"), bad_rows((3,))), 1,
+     COMPUTED),
 ]
 
 
-@pytest.mark.parametrize("call, row", [s[1:] for s in FINITENESS_SITES], ids=[s[0] for s in FINITENESS_SITES])
-def test_finiteness_guard_names_the_first_bad_row(call, row):
+@pytest.mark.parametrize("call, row, expected", [s[1:] for s in FINITENESS_SITES],
+                         ids=[s[0] for s in FINITENESS_SITES])
+def test_finiteness_guard_names_the_first_bad_row(call, row, expected):
     # every site goes through checks.require_finite_rows
-    with pytest.raises(NonFiniteInput, match="contains NaN or infinity") as info:
+    error, message = expected
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
-    assert info.value.row == row
+    assert type(info.value) is error and info.value.row == row
 
 
 class TestValidateHermitian:
@@ -558,8 +579,10 @@ class TestEigh:
         assert v.shape == (3, 5, 5)
 
     def test_non_finite_input_rejected(self):
+        # every input is tested where it enters, so a non-finite matrix here
+        # was computed (A + B or U* A U overflowed)
         stack = np.stack([np.eye(2), np.diag([np.inf, 1.0])]).astype(complex)
-        with pytest.raises(NonFiniteInput) as info:
+        with pytest.raises(NonFiniteResult, match="computed matrix is not finite") as info:
             stacked_spectrum(stack)
         assert info.value.row == 1
 

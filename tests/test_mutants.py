@@ -11,7 +11,13 @@ A mutant is caught when a campaign reports a violation or aborts with a
 CampaignTrialError.  The mutants that no campaign catches are strict xfails,
 each naming the check kind that should catch it (ROADMAP item 2); a new kind
 that catches one turns its xfail into a failure, and the mark then goes.
+
+A mutant of a campaign evaluator that no campaign can catch, because it makes
+a deviation exactly 0, is caught by a named Tier-1 test instead: it is
+planted in `gt.CHECKS`, and that test's assertion must fail.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from gtcert import CampaignConfig, CampaignTrialError, EnsembleSpec, builtin, gt
 from gtcert.hermitian import conj_t, stacked_spectrum
 from gtcert.logsumexp import lse_rows
 from gtcert.spectral import SymmetricScalarFunction
+from test_gt import assert_rotations_move_a
 
 # (owner, attribute, the kinds whose code calls it) of each kernel a mutant replaces
 LIFT = (SymmetricScalarFunction, "lift_rows",
@@ -92,3 +99,26 @@ def test_mutant_is_caught(name, monkeypatch):
     # a mutant's overflow must be caught by the campaign, not by the warnings-as-errors filter
     with np.errstate(all="ignore"):
         assert caught_campaigns(kinds) > 0
+
+
+def no_rotation(f, a, u):
+    """`unitary_invariance_rows` comparing A with itself: its deviation is exactly 0 at any tol."""
+    reference, rotated = f.lift_rows(a, a)
+    return rotated, reference, -np.abs(rotated - reference)
+
+
+# (check kind, mutant evaluator, the assertion of the Tier-1 test that catches it) of each
+# evaluator mutant that no campaign can catch
+CAUGHT_BY_A_TEST = {
+    # tests/test_gt.py::TestOneLiftKernel::test_unitary_invariance_rotates_a
+    "no rotation": ("UNITARY_INVARIANCE", no_rotation, assert_rotations_move_a),
+}
+
+
+@pytest.mark.parametrize("name", CAUGHT_BY_A_TEST)
+@pytest.mark.parametrize("ensemble", ["gue", "goe"])
+def test_mutant_is_caught_by_its_test(name, ensemble, monkeypatch):
+    kind, mutant, check = CAUGHT_BY_A_TEST[name]
+    monkeypatch.setitem(gt.CHECKS, kind, dataclasses.replace(gt.CHECKS[kind], evaluate=mutant))
+    with pytest.raises(AssertionError):
+        check(ensemble, monkeypatch)

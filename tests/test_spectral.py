@@ -217,12 +217,12 @@ class TestUnitaryInvariance:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_an_error_without_a_warning(self):
-        # A is finite, but U* A U has the entry 2e308, which overflows; the
-        # error comes without numpy's warning first
+        # A is finite, but U* A U has the entry 2e308, which overflows: a
+        # computed value, not an input; the error comes without numpy's warning first
         a = HermitianMatrix(np.full((2, 2), 1e308, dtype=complex))
         s = 2.0 ** -0.5
         u = UnitaryMatrix(np.array([[s, s], [s, -s]], dtype=complex))
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NonFiniteResult, match="computed matrix is not finite"):
             check_unitary_invariance(lift(builtin("lse")), a, u, 1e-10)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
