@@ -45,7 +45,7 @@ class ConvergenceFailure(Error):
 
 
 class NonFiniteInput(Error):
-    """An argument or a campaign's sampled draw holds a NaN or an infinity."""
+    """An argument or a sampled draw holds a NaN or an infinity."""
 
 
 class NonFiniteResult(Error):

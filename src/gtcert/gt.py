@@ -34,7 +34,6 @@ from .checks import (
     CheckResult,
     first_result,
     quiet_rows,
-    require_finite_rows,
     require_positive_int,
     require_seed,
     require_tol,
@@ -238,11 +237,12 @@ class CheckKind:
     `vector_stack`; `streams[k](ensemble, generators)` draws stream k of every
     trial of the chunk as one stack.  Stream k of a trial is seeded by
     `derive_seed(trial_seed, k)` (`trial_inputs` returns one trial's draws, and
-    `replay` checks them).  The runner tests that every draw is finite, then
-    calls `evaluate(f, *stacks)`, which returns (lhs, rhs, slack) arrays with one
-    entry per trial; `f` is always the campaign's built-in function, lse for
-    the kinds that refuse an `fn`, and every kind that lifts a function
-    computes F through `f.lift_rows`.  An evaluator may concatenate stacks of
+    `replay` checks them).  A sampler raises NonFiniteInput for a draw that
+    overflows (`hermitian._normal_stack`), so `evaluate(f, *stacks)` gets
+    finite stacks.  It returns (lhs, rhs, slack) arrays with one entry per
+    trial; `f` is always the campaign's built-in function, lse for the kinds
+    that refuse an `fn`, and every kind that lifts a function computes F
+    through `f.lift_rows`.  An evaluator may concatenate stacks of
     T trials before a solver call, so an Error's `row` names trial `row % T`.
     `entries(n)`, a positive int, sets the chunk size: about how many float64
     entries one trial holds while its chunk is sampled and evaluated, or
@@ -344,42 +344,33 @@ class CampaignReport:
         }
 
 
-def _stream_stacks(check: CheckKind, ens: EnsembleSpec, seeds, chunk: int) -> Iterator[list]:
-    """The input stacks of the trials with seeds `seeds`, `chunk` trials at a time.
-
-    Stream k of a trial is drawn from `derive_seed(trial_seed, k)`; the seed
-    words of every stream of every trial come from one `seed_words` call.
-    """
+def _stream_words(check: CheckKind, seeds) -> np.ndarray:
+    """The seed words of `derive_seed(seeds[t], k)` at [k, t], for every stream k, in one `seed_words` call."""
     streams = len(check.streams)
-    words = seed_words(derive_seeds(seeds, np.arange(streams)[:, None]).ravel()).reshape(streams, -1, 4)
-    for lo in range(0, len(seeds), chunk):
-        yield [draw(ens, generators(w[lo:lo + chunk])) for draw, w in zip(check.streams, words)]
+    return seed_words(derive_seeds(seeds, np.arange(streams)[:, None]).ravel()).reshape(streams, -1, 4)
 
 
 def _chunks(check: CheckKind, ens: EnsembleSpec, trials: int, chunk: int) -> Iterator[tuple]:
-    """(trial indices, trial seeds, input stacks) per chunk, seeds derived at most `_SEED_BLOCK` at a time."""
+    """(trial indices, trial seeds, stream seed words) per chunk, seeds derived at most `_SEED_BLOCK` at a time."""
     block = chunk * (_SEED_BLOCK // chunk)
     for first in range(0, trials, block):
         seeds = derive_seeds(ens.seed, np.arange(first, min(first + block, trials)))
-        stacks = _stream_stacks(check, ens, seeds, chunk)
+        words = _stream_words(check, seeds)
         seeds = seeds.tolist()
-        for lo, chunk_stacks in zip(range(0, len(seeds), chunk), stacks):
-            yield range(first, trials)[lo:lo + chunk], seeds[lo:lo + chunk], chunk_stacks
+        for lo in range(0, len(seeds), chunk):
+            yield range(first, trials)[lo:lo + chunk], seeds[lo:lo + chunk], words[:, lo:lo + chunk]
 
 
-def _check_chunk(check: CheckKind, f: SymmetricScalarFunction, stacks: list, indices, seeds: list):
-    """(lhs, rhs, slack) arrays of one chunk of trials, all finite (`checks.quiet_rows`).
+def _check_chunk(check: CheckKind, ens: EnsembleSpec, f: SymmetricScalarFunction, words, indices, seeds: list):
+    """(lhs, rhs, slack) arrays of one chunk of trials drawn from `words`, all finite (`checks.quiet_rows`).
 
-    The draws are where a campaign's values enter, so they are tested here,
-    before `evaluate` runs: the first trial of the first stream whose draw
-    overflowed raises NonFiniteInput.  Any error becomes a CampaignTrialError
-    naming the trial it belongs to by its entries of `indices` and `seeds`.
+    Streams are drawn one at a time, so the first trial of the first stream
+    whose draw overflowed raises NonFiniteInput (in its sampler) before a later
+    stream is drawn or `evaluate` runs.  Any error becomes a CampaignTrialError
+    naming its trial by its entries of `indices` and `seeds`.
     """
     try:
-        for stack in stacks:
-            # also for the Hessian kinds, whose evaluators would pass a -inf entry: its softmax weight is 0
-            require_finite_rows(stack, "sampled draw")
-        return quiet_rows(check.evaluate, f, *stacks)
+        return quiet_rows(check.evaluate, f, *[draw(ens, generators(w)) for draw, w in zip(check.streams, words)])
     except Error as exc:
         row = exc.row % len(seeds)
         raise CampaignTrialError(indices[row], seeds[row], exc) from exc
@@ -392,23 +383,26 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     trials in index order (ties on worst slack keep the lowest index), so
     the report does not depend on the chunk size.  A trial that raises, or
     whose lhs, rhs or slack is not finite, aborts the whole campaign with a
-    CampaignTrialError carrying its seed and its error as `cause`.
+    CampaignTrialError carrying its seed and its error as `cause`.  Which
+    trial depends on the chunk size: a chunk is drawn before it is evaluated,
+    so a later trial's overflowing draw precedes an earlier overflowing A + B.
     """
     t0 = time.perf_counter()
     ens, tol = config.ensemble, config.tol
     check = CHECKS[config.check_kind]
     f = builtin(config.fn or "lse")
-    violations = 0
+    trials_run = violations = 0
     worst_slack = worst_seed = None
-    for indices, seeds, stacks in _chunks(check, ens, config.trials, _chunk_trials(check, ens.n)):
-        lhs, rhs, slack = _check_chunk(check, f, stacks, indices, seeds)
+    for indices, seeds, words in _chunks(check, ens, config.trials, _chunk_trials(check, ens.n)):
+        lhs, rhs, slack = _check_chunk(check, ens, f, words, indices, seeds)
+        trials_run += len(seeds)
         violations += int(np.count_nonzero(slack < -slack_bound(rhs, tol)))
         row = int(slack.argmin())
         if worst_slack is None or slack[row] < worst_slack:
             worst_slack, worst_seed = float(slack[row]), seeds[row]
     return CampaignReport(
         config=config,
-        trials_run=config.trials,
+        trials_run=trials_run,
         violations=violations,
         worst_slack=worst_slack,
         worst_trial_seed=worst_seed,
@@ -420,11 +414,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 def trial_inputs(config: CampaignConfig, trial_seed: int) -> list:
     """The input arrays of one trial of `config`'s campaign, one per stream of its `CHECKS` entry.
 
-    The campaign's own code draws them, so they hold the bits it checked.
+    The campaign's own code draws them, so they hold the bits it checked, and
+    a draw that overflows raises the NonFiniteInput that is the campaign's `cause`.
     """
     require_seed(trial_seed)
-    (stacks,) = _stream_stacks(CHECKS[config.check_kind], config.ensemble, [trial_seed], 1)
-    return [stack[0] for stack in stacks]
+    check = CHECKS[config.check_kind]
+    words = _stream_words(check, [trial_seed])
+    return [draw(config.ensemble, generators(w))[0] for draw, w in zip(check.streams, words)]
 
 
 def replay(config: CampaignConfig, trial_seed: int) -> CheckResult:
@@ -435,7 +431,8 @@ def replay(config: CampaignConfig, trial_seed: int) -> CheckResult:
     False exactly for a trial the campaign counts as a violation.  A trial
     that errors raises the campaign's CampaignTrialError, with `trial_index` None.
     """
-    f = builtin(config.fn or "lse")
-    stacks = [x[None] for x in trial_inputs(config, trial_seed)]
-    (lhs,), (rhs,), (slack,) = _check_chunk(CHECKS[config.check_kind], f, stacks, [None], [trial_seed])
+    require_seed(trial_seed)
+    check, f = CHECKS[config.check_kind], builtin(config.fn or "lse")
+    words = _stream_words(check, [trial_seed])
+    (lhs,), (rhs,), (slack,) = _check_chunk(check, config.ensemble, f, words, [None], [trial_seed])
     return CheckResult(float(lhs), float(rhs), float(slack), config.tol)

@@ -71,7 +71,7 @@ class _Matrix:
 
     @classmethod
     def _certified(cls, arr: np.ndarray):
-        """The matrix of `arr`, a new square array that the caller has just held to `_require`'s rule."""
+        """The matrix of `arr`, a new square array that the caller has held to, or built to, `_require`'s rule."""
         out = cls.__new__(cls)
         arr.setflags(write=False)
         out._entries = arr
@@ -342,17 +342,19 @@ def _fresh(seed: int) -> list:
 
 
 def _normal_stack(rngs, shape: tuple, scale: float = 1.0) -> np.ndarray:
-    """One `normal(0.0, scale, shape)` draw per generator, stacked.
+    """One `normal(0.0, scale, shape)` draw per generator, stacked; the one finiteness test of sampled values.
 
     Each generator fills its row of one preallocated stack with standard
     normals; scaling the stack and adding 0.0 afterwards gives the bits of
-    numpy's 0.0 + scale * z, including the sign of zero.
+    numpy's 0.0 + scale * z, including the sign of zero.  A draw whose scaling
+    overflows raises NonFiniteInput, with no numpy warning and its index as `row`.
     """
     out = np.empty((len(rngs),) + shape)
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
-    with np.errstate(over="ignore"):  # an overflowing draw is a NonFiniteInput later
+    with np.errstate(over="ignore"):
         out *= scale
+    require_finite_rows(out, "sampled draw")
     out += 0.0
     return out
 
@@ -363,19 +365,19 @@ def hermitian_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
     Each generator draws its whole matrix before the next is advanced (GUE: the
     real then the imaginary n x n block), and `symmetrized` makes each draw exact:
     complex128 for gue, real symmetric float64 for goe and diag.  A normal draw that
-    overflowed gives inf or NaN without a numpy warning, a NonFiniteInput in a campaign.
+    overflows raises NonFiniteInput (`_normal_stack`), so every matrix returned is finite.
     """
     if ens.kind == "diag":
         return diagonal_stack(vector_stack(ens, rngs))
     g = _normal_stack(rngs, (2, ens.n, ens.n) if ens.kind == "gue" else (ens.n, ens.n), ens.scale)
-    if ens.kind == "gue":
-        g = complex_from_parts(g[:, 0], g[:, 1])
-    with np.errstate(invalid="ignore"):  # inf - inf, and 0 * inf in halving an infinite part
-        return symmetrized(g)
+    return symmetrized(complex_from_parts(g[:, 0], g[:, 1]) if ens.kind == "gue" else g)
 
 
 def vector_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
-    """One length-n draw per generator from the ensemble's diagonal-entry law, as a (T, n) stack."""
+    """One length-n draw per generator from the ensemble's diagonal-entry law, as a (T, n) stack.
+
+    A uniform diag draw needs no `_normal_stack` test: `EnsembleSpec` keeps [-scale, scale] finite.
+    """
     if ens.kind in ("gue", "goe"):
         return _normal_stack(rngs, (ens.n,), ens.scale)
     return np.stack([rng.uniform(-ens.scale, ens.scale, ens.n) for rng in rngs])
@@ -405,12 +407,12 @@ def haar_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
 
 
 def random_hermitian(spec: EnsembleSpec) -> HermitianMatrix:
-    """Draw one matrix from the ensemble.  Pure function of `spec`."""
-    return HermitianMatrix(hermitian_stack(spec, _fresh(spec.seed))[0])
+    """Draw one matrix from the ensemble, finite by `_normal_stack` and exact by `symmetrized`.  Pure in `spec`."""
+    return HermitianMatrix._certified(hermitian_stack(spec, _fresh(spec.seed))[0])
 
 
 def random_vector(spec: EnsembleSpec) -> np.ndarray:
-    """Length-n draw of the diagonal-entry law: i.i.d. N(0, scale^2), or uniform on [-scale, scale] for diag."""
+    """Length-n draw of the diagonal-entry law: N(0, scale^2), NonFiniteInput on overflow; U[-scale, scale] for diag."""
     return vector_stack(spec, _fresh(spec.seed))[0]
 
 

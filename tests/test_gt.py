@@ -1,6 +1,7 @@
 """Tests for trace-inequality checks and the seeded campaign runner."""
 
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -49,6 +50,7 @@ import gtcert.gt as gt_module
 from gtcert.checks import slack_bound
 from gtcert.errors import require_rows
 from gtcert.gt import CHECK_KINDS
+from gtcert.hermitian import generators
 from gtcert.spectral import SymmetricScalarFunction
 from oracles import expm_taylor
 
@@ -373,17 +375,19 @@ class TestSeedDerivation:
     @pytest.mark.parametrize("trials, chunk, streams", [(7, 16, 1), (2100, 64, 2), (1030, 1, 2)])
     def test_chunks_carry_each_trials_stream_states(self, trials, chunk, streams):
         # seeds and seed words come a block at a time; every chunk still gets,
-        # per stream k, the bits that PCG64(derive_seed(trial_seed, k)) draws
+        # per stream k, the words whose generators draw the bits that
+        # PCG64(derive_seed(trial_seed, k)) draws
         check = gt_module.CHECKS["HESSIAN_PSD" if streams == 1 else "UNITARY_INVARIANCE"]
         ens = EnsembleSpec("gue", 1, 1.0, 2**64 - 1)
         seen = 0
-        for indices, seeds, stacks in gt_module._chunks(check, ens, trials, chunk):
+        for indices, seeds, words in gt_module._chunks(check, ens, trials, chunk):
             assert indices == range(seen, seen + len(seeds)) and 1 <= len(seeds) <= chunk
             assert seeds == [derive_seed(2**64 - 1, i) for i in indices]
-            assert len(stacks) == streams
+            assert words.shape == (streams, len(seeds), 4)
             for k, draw in enumerate(check.streams):
+                drawn = draw(ens, generators(words[k]))
                 fresh = draw(ens, [np.random.Generator(np.random.PCG64(derive_seed(s, k))) for s in seeds])
-                assert stacks[k].dtype == fresh.dtype and stacks[k].tobytes() == fresh.tobytes()
+                assert drawn.dtype == fresh.dtype and drawn.tobytes() == fresh.tobytes()
             seen += len(seeds)
         assert seen == trials
 
@@ -447,13 +451,19 @@ FN_SPELLINGS = [(None, "lse", " lse "), ("pnorm:2", "pnorm:2.0", " pnorm:2 ")]
 
 
 def sampled_input_is_finite(cfg):
-    """Whether every stream of every trial draws only finite entries, each drawn from its own PCG64."""
+    """Whether every stream of every trial draws only finite entries, each drawn from its own PCG64.
+
+    A sampler raises NonFiniteInput for a draw that overflows, which counts as not finite.
+    """
     ens = cfg.ensemble
     for i in range(cfg.trials):
         trial_seed = derive_seed(ens.seed, i)
         for k, draw in enumerate(gt_module.CHECKS[cfg.check_kind].streams):
             rng = np.random.Generator(np.random.PCG64(derive_seed(trial_seed, k)))
-            if not np.isfinite(draw(ens, [rng])).all():
+            try:
+                if not np.isfinite(draw(ens, [rng])).all():
+                    return False
+            except NonFiniteInput:
                 return False
     return True
 
@@ -555,10 +565,10 @@ class TestRunCampaign:
     def test_psd_rejects_infinite_sampled_vectors(self, seed):
         # the vector of trial 0 holds -inf, whose softmax weight is 0: the
         # Hessian stayed finite and the campaign reported violations=0,
-        # worst_slack=0.0
+        # worst_slack=0.0; numpy's own draw shows the -inf
         cfg = CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 4, 1.7e308, seed), 1, 1e-10)
         trial_seed = derive_seed(seed, 0)
-        x = random_vector(dataclasses.replace(cfg.ensemble, seed=derive_seed(trial_seed, 0)))
+        x = np.random.Generator(np.random.PCG64(derive_seed(trial_seed, 0))).normal(0.0, 1.7e308, 4)
         assert np.isneginf(x).any()
         with pytest.raises(CampaignTrialError) as info:
             run_campaign(cfg)
@@ -597,6 +607,14 @@ class TestRunCampaign:
                 run_campaign(CampaignConfig(kind, ens, 150, 1e-10))
             raised.add((info.value.trial_index, type(info.value.cause)))
         assert raised == {(45, NonFiniteInput)}
+
+    def test_trials_run_counts_the_evaluated_trials(self, monkeypatch):
+        # trials_run copied config.trials, so a campaign that skipped a chunk
+        # still reported every trial as run
+        chunks = gt_module._chunks
+        monkeypatch.setattr(gt_module, "_chunks", lambda *args: itertools.islice(chunks(*args), 1, None))
+        report = run_campaign(config("GT_WEAK", n=8, trials=100))  # chunks of 64 trials
+        assert report.trials_run == 36
 
     def test_psd_at_the_double_limit_with_finite_vectors(self):
         report = run_campaign(
@@ -832,6 +850,10 @@ class TestReplay:
         assert str(replayed.value.cause) == str(campaign.value.cause)
         assert replayed.value.trial_index is None
 
+    @pytest.mark.parametrize("ensemble", ["gue", "goe"])
+    def test_hessian_psd_slack_is_the_nullspace_zero(self, ensemble, monkeypatch):
+        assert_hessian_psd_slack_is_zero(ensemble, monkeypatch)
+
     @pytest.mark.parametrize("trial_seed", [-1, 2**64, True, 1.0])
     def test_bad_trial_seeds_rejected(self, trial_seed):
         cfg = config("GT_WEAK", trials=1)
@@ -932,6 +954,22 @@ F_CALLERS = {
     "log_trace_exp": lambda: log_trace_exp(gue(3, 1)),
     "lift_eval": lambda: lift_eval(lift(builtin("pnorm:3")), gue(3, 1)),
 }
+
+
+def assert_hessian_psd_slack_is_zero(ensemble, monkeypatch):
+    """Assert that every replayed HESSIAN_PSD trial at n = 2, 8 and 16 has |slack| <= n u, u = 2^-53.
+
+    The all-ones vector is in the nullspace of every lse Hessian diag(p) - p p^T,
+    so its smallest eigenvalue is 0 up to rounding: seed 5's largest |slack| is
+    0.375 n u (gue and goe draw the same vectors).  An evaluator that takes the
+    largest eigenvalue instead (at least 0.05 in every trial here) fails, where
+    a campaign sees a PSD matrix and passes.
+    """
+    for n in (2, 8, 16):
+        cfg = config("HESSIAN_PSD", n=n, trials=200, seed=5, kind_ens=ensemble)
+        for i in range(cfg.trials):
+            slack = replay(cfg, derive_seed(5, i)).slack
+            assert abs(slack) <= n * 2.0**-53, (n, i, slack)
 
 
 def assert_rotations_move_a(ensemble, monkeypatch):

@@ -31,11 +31,12 @@ from gtcert import (
     random_unitary,
     random_vector,
     run_campaign,
+    trial_inputs,
     validate_hermitian,
 )
 from gtcert import hermitian
 from gtcert.checks import quiet_rows
-from gtcert.gt import derive_seeds
+from gtcert.gt import derive_seed, derive_seeds
 from gtcert.hermitian import (
     ENSEMBLE_KINDS,
     complex_from_parts,
@@ -78,7 +79,12 @@ def campaign_cause(config):
 # enter, and `stacked_spectrum`, the one other site, refuses a non-finite
 # matrix as computed (A + B or U* A U overflowed)
 BAD_MATRIX = NonFiniteInput, "matrix contains NaN or infinity"
+SAMPLED = NonFiniteInput, "sampled draw contains NaN or infinity"
 COMPUTED = NonFiniteResult, "computed matrix is not finite"
+OVERFLOWING = EnsembleSpec("gue", 4, 1.7e308, 1)
+
+# trial 3 of this campaign draws a vector that holds -inf (and no +inf)
+NEG_INF_TRIAL = CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 3, 1e308, 6), 6, 1e-10)
 
 # (finiteness rule site, call, row of the first bad vector or matrix, (error, message))
 FINITENESS_SITES = [
@@ -92,12 +98,17 @@ FINITENESS_SITES = [
     ("UnitaryMatrix NaN", lambda: UnitaryMatrix([[math.nan]]), 0,
      (NonFiniteInput, "unitary contains NaN or infinity")),
     ("lse", lambda: lse([0.0, -math.inf]), 0, (NonFiniteInput, "vector contains NaN or infinity")),
-    # a campaign's draws, tested once per chunk before any evaluator runs:
-    # trial 3's vector holds -inf (and no +inf), whose softmax weight is 0, so
-    # the Hessian evaluators would pass it; the row is the trial
-    ("run_campaign",
-     lambda: campaign_cause(CampaignConfig("HESSIAN_PSD", EnsembleSpec("gue", 3, 1e308, 6), 6, 1e-10)), 3,
-     (NonFiniteInput, "sampled draw contains NaN or infinity")),
+    # every draw is tested once, in hermitian._normal_stack, where it is
+    # scaled; the row is the first generator whose draw overflowed
+    ("hermitian_stack", lambda: hermitian_stack(EnsembleSpec("goe", 2, 1.7e308, 0),
+                                                [np.random.Generator(np.random.PCG64(s)) for s in (0, 7, 1)]), 2,
+     SAMPLED),
+    ("random_hermitian", lambda: random_hermitian(OVERFLOWING), 0, SAMPLED),
+    ("random_vector", lambda: random_vector(OVERFLOWING), 0, SAMPLED),
+    ("trial_inputs", lambda: trial_inputs(NEG_INF_TRIAL, derive_seed(6, 3)), 0, SAMPLED),
+    # a campaign's draws are tested before any evaluator runs: a -inf entry's
+    # softmax weight is 0, so the Hessian evaluators would pass it; the row is the trial
+    ("run_campaign", lambda: campaign_cause(NEG_INF_TRIAL), 3, SAMPLED),
     ("stacked_spectrum", lambda: stacked_spectrum(bad_rows((3, 3))), 1, COMPUTED),
     # an evaluator trusts its inputs; the solver still refuses diag(x)
     ("davis_restriction_rows", lambda: quiet_rows(davis_restriction_rows, builtin("lse"), bad_rows((3,))), 1,
@@ -293,13 +304,22 @@ class TestEnsembles:
         EnsembleSpec("gue", 2, 1.7e308, 0)
 
     def test_overflowing_draws_do_not_warn(self):
+        # the samplers raise NonFiniteInput for a draw that overflows, and
+        # numpy prints no overflow or invalid-value warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind in ("gue", "goe"):
                 rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in range(8)]
-                assert not np.isfinite(hermitian_stack(EnsembleSpec(kind, 4, 1.7e308, 0), rngs)).all()
-                vectors = [random_vector(EnsembleSpec(kind, 4, 1.7e308, seed)) for seed in range(8)]
-                assert not np.isfinite(vectors).all()
+                for sample in (hermitian_stack, vector_stack):
+                    with pytest.raises(NonFiniteInput):
+                        sample(EnsembleSpec(kind, 4, 1.7e308, 0), rngs)
+                raised = 0
+                for seed in range(8):
+                    try:
+                        assert np.isfinite(random_vector(EnsembleSpec(kind, 4, 1.7e308, seed))).all()
+                    except NonFiniteInput:
+                        raised += 1
+                assert raised > 0
 
     def test_finite_draw_near_the_limit_stays_finite(self):
         # 2 * 1.02e308 overflows, so (g + g*) / 2 would make this finite draw

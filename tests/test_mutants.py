@@ -13,8 +13,9 @@ each naming the check kind that should catch it (ROADMAP item 2); a new kind
 that catches one turns its xfail into a failure, and the mark then goes.
 
 A mutant of a campaign evaluator that no campaign can catch, because it makes
-a deviation exactly 0, is caught by a named Tier-1 test instead: it is
-planted in `gt.CHECKS`, and that test's assertion must fail.
+a deviation exactly 0 or an eigenvalue that is never negative, is caught by a
+named Tier-1 test instead: it is planted in `gt.CHECKS`, and that test's
+assertion must fail.
 """
 
 import dataclasses
@@ -24,9 +25,9 @@ import pytest
 
 from gtcert import CampaignConfig, CampaignTrialError, EnsembleSpec, builtin, gt, run_campaign
 from gtcert.hermitian import conj_t, stacked_spectrum
-from gtcert.logsumexp import lse_rows
+from gtcert.logsumexp import hessian_rows, lse_rows
 from gtcert.spectral import SymmetricScalarFunction
-from test_gt import assert_rotations_move_a
+from test_gt import assert_hessian_psd_slack_is_zero, assert_rotations_move_a
 
 # (owner, attribute, the kinds whose code calls it) of each kernel a mutant replaces
 LIFT = (SymmetricScalarFunction, "lift_rows",
@@ -107,11 +108,19 @@ def no_rotation(f, a, u):
     return rotated, reference, -np.abs(rotated - reference)
 
 
+def lambda_max_psd(f, x):
+    """`_hessian_psd` taking the largest eigenvalue: it is never negative, so every trial passes."""
+    w_max = stacked_spectrum(hessian_rows(x))[:, -1]
+    return w_max, np.zeros_like(w_max), w_max
+
+
 # (check kind, mutant evaluator, the assertion of the Tier-1 test that catches it) of each
 # evaluator mutant that no campaign can catch
 CAUGHT_BY_A_TEST = {
     # tests/test_gt.py::TestOneLiftKernel::test_unitary_invariance_rotates_a
     "no rotation": ("UNITARY_INVARIANCE", no_rotation, assert_rotations_move_a),
+    # tests/test_gt.py::TestReplay::test_hessian_psd_slack_is_the_nullspace_zero
+    "lambda_max Hessian": ("HESSIAN_PSD", lambda_max_psd, assert_hessian_psd_slack_is_zero),
 }
 
 
