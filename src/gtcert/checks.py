@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteInput, NonFiniteResult, at_row, require_rows
+from .errors import NonFiniteInput, NonFiniteResult
 
 
 def is_int(value) -> bool:
@@ -58,10 +58,9 @@ def require_seed(seed) -> None:
 
 
 def require_finite_rows(stack: np.ndarray, what: str, error=NonFiniteInput, fault="contains NaN or infinity") -> None:
-    """Raise `error(f"{what} {fault}")` with `row` the first vector or matrix of a stack that is not all finite."""
-    finite = np.isfinite(stack)
-    if not finite.all():  # one reduction when every row is finite, the usual case
-        require_rows(finite.reshape(len(stack), -1).all(axis=1), error, f"{what} {fault}")
+    """Raise `error(f"{what} {fault}")` unless every entry of a stack of vectors or matrices is finite."""
+    if not np.isfinite(stack).all():
+        raise error(f"{what} {fault}")
 
 
 def slack_bound(rhs, tol: float):
@@ -104,15 +103,15 @@ def quiet_rows(evaluate: Callable[..., tuple], *args, names=("lhs", "rhs", "slac
     """`evaluate(*args)`, a tuple of arrays with one entry per row, run without numpy's warnings.
 
     The one rule for a computed value: the first row where any array holds a
-    NaN or an infinity raises NonFiniteResult, with that row as `row` and its
-    values, labelled by `names`, in the message.
+    NaN or an infinity raises NonFiniteResult, with that row's values,
+    labelled by `names`, in the message.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = evaluate(*args)
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():  # one reduction when every row is finite, the usual case
         row = int(finite.argmin())
-        raise at_row(_not_finite(names, (v[row] for v in values)), row)
+        raise _not_finite(names, (v[row] for v in values))
     return values
 
 

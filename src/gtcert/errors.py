@@ -2,26 +2,7 @@
 
 
 class Error(Exception):
-    """Base class for all gtcert errors.
-
-    `row` is the index of the offending matrix or vector when the error comes
-    from a stacked (T, ...) evaluation, so a campaign can name the trial; it
-    is 0 for unstacked arguments.
-    """
-
-    row = 0
-
-
-def at_row(error: Error, row: int) -> Error:
-    """`error`, marked as raised for row `row` of a stacked evaluation."""
-    error.row = row
-    return error
-
-
-def require_rows(ok, error_type, message: str) -> None:
-    """Raise error_type(message) for the first False entry of the row mask `ok`."""
-    if not ok.all():
-        raise at_row(error_type(message), int(ok.argmin()))
+    """Base class for all gtcert errors."""
 
 
 class NotSquareError(Error):
@@ -60,7 +41,8 @@ class CampaignTrialError(Error):
     """A campaign trial raised; carries the trial seed, which `replay(config, trial_seed)` re-runs.
 
     Only `run_campaign` and `replay` raise it, with the trial's own error as
-    `cause`; `trial_index` is None only for `replay`.
+    `cause`: the error that `replay` raises for that trial.  A campaign names
+    its lowest trial that raises on its own; `trial_index` is None only for `replay`.
     """
 
     def __init__(self, trial_index, trial_seed: int, cause: BaseException):

@@ -242,8 +242,8 @@ class CheckKind:
     finite stacks.  It returns (lhs, rhs, slack) arrays with one entry per
     trial; `f` is always the campaign's built-in function, lse for the kinds
     that refuse an `fn`, and every kind that lifts a function computes F
-    through `f.lift_rows`.  An evaluator may concatenate stacks of
-    T trials before a solver call, so an Error's `row` names trial `row % T`.
+    through `f.lift_rows`.  A trial's values depend on its own draws alone,
+    which lets `_check_chunk` check part of a chunk again.
     `entries(n)`, a positive int, sets the chunk size: about how many float64
     entries one trial holds while its chunk is sampled and evaluated, or
     fewer for a kind whose cost per trial does not grow with the chunk.
@@ -364,16 +364,20 @@ def _chunks(check: CheckKind, ens: EnsembleSpec, trials: int, chunk: int) -> Ite
 def _check_chunk(check: CheckKind, ens: EnsembleSpec, f: SymmetricScalarFunction, words, indices, seeds: list):
     """(lhs, rhs, slack) arrays of one chunk of trials drawn from `words`, all finite (`checks.quiet_rows`).
 
-    Streams are drawn one at a time, so the first trial of the first stream
-    whose draw overflowed raises NonFiniteInput (in its sampler) before a later
-    stream is drawn or `evaluate` runs.  Any error becomes a CampaignTrialError
-    naming its trial by its entries of `indices` and `seeds`.
+    A chunk that raises is checked again in halves, the lower half first, down
+    to one trial: the lowest trial that raises on its own is named by its
+    entries of `indices` and `seeds`, in a CampaignTrialError whose cause is
+    the error that trial raises alone, whatever the chunk size.
     """
     try:
         return quiet_rows(check.evaluate, f, *[draw(ens, generators(w)) for draw, w in zip(check.streams, words)])
     except Error as exc:
-        row = exc.row % len(seeds)
-        raise CampaignTrialError(indices[row], seeds[row], exc) from exc
+        if len(seeds) == 1:
+            raise CampaignTrialError(indices[0], seeds[0], exc) from exc
+        half = len(seeds) // 2
+        for part in (slice(None, half), slice(half, None)):
+            _check_chunk(check, ens, f, words[:, part], indices[part], seeds[part])
+        raise  # unreachable while a trial's values depend on its own draws alone
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -383,9 +387,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     trials in index order (ties on worst slack keep the lowest index), so
     the report does not depend on the chunk size.  A trial that raises, or
     whose lhs, rhs or slack is not finite, aborts the whole campaign with a
-    CampaignTrialError carrying its seed and its error as `cause`.  Which
-    trial depends on the chunk size: a chunk is drawn before it is evaluated,
-    so a later trial's overflowing draw precedes an earlier overflowing A + B.
+    CampaignTrialError carrying its seed and its error as `cause`: the lowest
+    trial that raises on its own, with the error `replay` raises for it, so
+    that does not depend on the chunk size either.
     """
     t0 = time.perf_counter()
     ens, tol = config.ensemble, config.tol

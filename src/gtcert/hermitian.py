@@ -31,8 +31,6 @@ from .errors import (
     NonFiniteResult,
     NotSquareError,
     UnitarityViolation,
-    at_row,
-    require_rows,
 )
 
 GENERATOR_ID = "numpy-pcg64"
@@ -103,7 +101,7 @@ class HermitianMatrix(_Matrix):
     @staticmethod
     def _require(stack: np.ndarray) -> None:
         try:
-            near_hermitian_rows(stack, 0.0, "matrix")
+            near_hermitian_rows(stack, 0.0)
         except HermiticityViolation as exc:
             raise HermiticityViolation(f"{exc}; use validate_hermitian for inputs with noise") from None
 
@@ -168,18 +166,18 @@ def validate_hermitian(entries, tol: float) -> HermitianMatrix:
     """
     require_tol(tol)
     arr = _as_square(entries, "validate_hermitian")[None]
-    exact = near_hermitian_rows(arr, tol, "matrix")[0] == 0
+    exact = near_hermitian_rows(arr, tol)[0] == 0
     return HermitianMatrix._certified((arr if exact else symmetrized(arr))[0])
 
 
-def near_hermitian_rows(stack: np.ndarray, tol: float, what: str) -> np.ndarray:
+def near_hermitian_rows(stack: np.ndarray, tol: float) -> np.ndarray:
     """max |M - M*| of each M of a (T, n, n) stack; the one Hermiticity rule, whose tol 0 is the exact rule.
 
     Each M must be finite (`checks.require_finite_rows`) and have max |M - M*|
-    <= tol * max(1, max |M|), which at tol 0 means M == M* exactly; the first
-    that is not raises NonFiniteInput or HermiticityViolation with its index as `row`.
+    <= tol * max(1, max |M|), which at tol 0 means M == M* exactly; else it
+    raises NonFiniteInput, or HermiticityViolation with the first bad M's figures.
     """
-    require_finite_rows(stack, what)
+    require_finite_rows(stack, "matrix")
     with np.errstate(over="ignore"):  # M - M* of a finite M far from Hermitian, and the bound, can overflow
         residual = np.abs(stack - conj_t(stack)).max(axis=(1, 2))
         # an exact stack, the usual input, passes at any tol without the pass that computes max |M|
@@ -187,9 +185,8 @@ def near_hermitian_rows(stack: np.ndarray, tol: float, what: str) -> np.ndarray:
     ok = residual <= bound
     if not ok.all():
         row = int(ok.argmin())
-        raise at_row(HermiticityViolation(
-            f"{what} is not Hermitian: max |M - M*| = {residual[row]:.3e} exceeds {bound[row]:.3e} (tol={tol:g})"
-        ), row)
+        raise HermiticityViolation(
+            f"matrix is not Hermitian: max |M - M*| = {residual[row]:.3e} exceeds {bound[row]:.3e} (tol={tol:g})")
     return residual
 
 
@@ -347,7 +344,7 @@ def _normal_stack(rngs, shape: tuple, scale: float = 1.0) -> np.ndarray:
     Each generator fills its row of one preallocated stack with standard
     normals; scaling the stack and adding 0.0 afterwards gives the bits of
     numpy's 0.0 + scale * z, including the sign of zero.  A draw whose scaling
-    overflows raises NonFiniteInput, with no numpy warning and its index as `row`.
+    overflows raises NonFiniteInput, with no numpy warning.
     """
     out = np.empty((len(rngs),) + shape)
     for row, rng in zip(out, rngs):
@@ -376,7 +373,10 @@ def hermitian_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
 def vector_stack(ens: EnsembleSpec, rngs) -> np.ndarray:
     """One length-n draw per generator from the ensemble's diagonal-entry law, as a (T, n) stack.
 
-    A uniform diag draw needs no `_normal_stack` test: `EnsembleSpec` keeps [-scale, scale] finite.
+    gue and goe share that law, N(0, scale^2), so they draw the same vectors:
+    gue and goe campaigns of the vector kinds with one seed check the same
+    trials.  A uniform diag draw needs no `_normal_stack` test: `EnsembleSpec`
+    keeps [-scale, scale] finite.
     """
     if ens.kind in ("gue", "goe"):
         return _normal_stack(rngs, (ens.n,), ens.scale)
@@ -430,10 +430,11 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of every matrix in a (T, n, n) stack, in one solver call.
 
     With `vectors`, returns (eigenvalues, eigenvectors) as `np.linalg.eigh`
-    does.  It tests finiteness only, of the stack and of the eigenvalues: the
-    first bad matrix raises NonFiniteResult with its index as `row`, as does a
-    ConvergenceFailure.  Values are tested where they enter, so a non-finite
-    matrix here was computed from finite ones (A + B or U* A U overflowed).
+    does.  It tests finiteness only, of the stack and of the eigenvalues, and
+    raises NonFiniteResult, or ConvergenceFailure where the solver fails; a
+    campaign finds the trial by checking its chunk again in halves.  Values are
+    tested where they enter, so a non-finite matrix here was computed from
+    finite ones (A + B or U* A U overflowed).
     The solvers read one triangle, so exact conjugate symmetry is the caller's
     guarantee: `HermitianMatrix` entries, `hermitian_stack`, `symmetrized`,
     `hessian_rows`, `diagonal_stack`, and sums, real multiples and
@@ -444,13 +445,8 @@ def stacked_spectrum(stack: np.ndarray, vectors: bool = False):
     try:
         result = solve(stack)
     except np.linalg.LinAlgError as exc:
-        for row, m in enumerate(stack):  # the stacked call does not say which matrix failed
-            try:
-                solve(m)
-            except np.linalg.LinAlgError:
-                raise at_row(ConvergenceFailure(str(exc)), row) from exc
         raise ConvergenceFailure(str(exc)) from exc
     # a finite matrix near the double limit can have an eigenvalue that overflows
-    require_rows(np.isfinite(result[0] if vectors else result).all(axis=1), NonFiniteResult,
-                 "eigenvalue overflows although the matrix is finite")
+    require_finite_rows(result[0] if vectors else result, "eigenvalue", NonFiniteResult,
+                        "overflows although the matrix is finite")
     return result

@@ -47,8 +47,7 @@ class SymmetricScalarFunction:
 
         The one place F is computed: the spectra of all the stacks come from
         one `stacked_spectrum` call over their concatenation (a lone stack is
-        passed as it is), and `rows` maps them to values.  An Error's `row`
-        indexes that concatenation.
+        passed as it is), and `rows` maps them to values.
         """
         values = self.rows(stacked_spectrum(stacks[0] if len(stacks) == 1 else np.concatenate(stacks)))
         t = len(stacks[0])

@@ -48,7 +48,6 @@ from gtcert import (
 )
 import gtcert.gt as gt_module
 from gtcert.checks import slack_bound
-from gtcert.errors import require_rows
 from gtcert.gt import CHECK_KINDS
 from gtcert.hermitian import generators
 from gtcert.spectral import SymmetricScalarFunction
@@ -440,6 +439,13 @@ def config_from_json(doc):
                           doc["trials"], doc["tol"], fn=doc.get("fn"))
 
 
+def trial_error(run, *args):
+    """(trial index, trial seed, cause class, cause message) of the CampaignTrialError that `run(*args)` raises."""
+    with pytest.raises(CampaignTrialError) as info:
+        run(*args)
+    return info.value.trial_index, info.value.trial_seed, type(info.value.cause), str(info.value.cause)
+
+
 def report_bytes(cfg):
     return json.dumps(run_campaign(cfg).to_json_dict() | {"wall_time_s": 0.0}).encode()
 
@@ -515,6 +521,23 @@ class TestRunCampaign:
             one_by_one = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
             monkeypatch.undo()
             assert chunked == one_by_one, (kind, n)
+        # a raising campaign names the lowest trial that raises on its own.
+        # These named trial 989 (a chunk's draws were tested before any of it
+        # was evaluated), 3 (stream 0 of every trial was drawn before stream 1)
+        # and 47 (the solver refused its A + B before trial 2's rhs overflowed)
+        raising = [(EnsembleSpec("gue", 1, 5e307, 12), 1100, 3, NonFiniteResult),
+                   (EnsembleSpec("goe", 1, 1.7e308, 12), 150, 0, NonFiniteInput),
+                   (EnsembleSpec("gue", 2, 5e307, 0), 150, 2, NonFiniteResult)]
+        for ens, trials, index, cause in raising:
+            cfg = CampaignConfig("GT_WEAK", ens, trials, 1e-10)
+            chunked = trial_error(run_campaign, cfg)
+            monkeypatch.setattr(gt_module, "_CHUNK_ENTRIES", 1)
+            one_by_one = trial_error(run_campaign, cfg)
+            monkeypatch.undo()
+            assert chunked == one_by_one == (index, derive_seed(ens.seed, index), cause, one_by_one[3]), ens
+            for i in range(index):
+                replay(cfg, derive_seed(ens.seed, i))
+            assert trial_error(replay, cfg, chunked[1]) == (None,) + chunked[1:]
 
     def test_chunk_sizes(self):
         # positive and capped at the seed block for every kind and size;
@@ -598,15 +621,16 @@ class TestRunCampaign:
 
     def test_pair_kinds_raise_at_the_same_draw(self):
         # GT_STRONG tested A + B rather than the draws: it named trial 0, whose
-        # finite A and B overflow in A + B, a NonFiniteInput, where the other
-        # pair kinds named trial 45, the first that drew an infinity
+        # finite A and B overflow in A + B, a NonFiniteInput.  Then all three
+        # named trial 45, the first that drew an infinity, because a chunk's
+        # draws were tested before any of it was evaluated; trial 0 raises on its own
         ens = EnsembleSpec("gue", 8, 5e307, 12)
         raised = set()
         for kind in ("GT_WEAK", "GT_STRONG", "MIDPOINT_CONVEXITY"):
             with pytest.raises(CampaignTrialError) as info:
                 run_campaign(CampaignConfig(kind, ens, 150, 1e-10))
             raised.add((info.value.trial_index, type(info.value.cause)))
-        assert raised == {(45, NonFiniteInput)}
+        assert raised == {(0, NonFiniteResult)}
 
     def test_trials_run_counts_the_evaluated_trials(self, monkeypatch):
         # trials_run copied config.trials, so a campaign that skipped a chunk
@@ -731,19 +755,24 @@ class TestRunCampaign:
         assert (report.violations > 0) == (fn == "min")
 
     def test_trial_error_carries_seed(self, monkeypatch):
+        cfg = config("GT_WEAK", trials=3)
+        check = gt_module.CHECKS["GT_WEAK"]
+        a_of_trial_2 = trial_inputs(cfg, derive_seed(99, 2))[0]
+
         def explode(f, *stacks):
             raise DimensionMismatch("synthetic failure")
 
-        def explode_row_2(f, *stacks):
-            require_rows(np.arange(len(stacks[0])) != 2, DimensionMismatch, "synthetic failure")
+        def explode_at_trial_2(f, a, b):
+            if any(np.array_equal(x, a_of_trial_2) for x in a):
+                raise DimensionMismatch("synthetic failure")
+            return check.evaluate(f, a, b)
 
-        check = gt_module.CHECKS["GT_WEAK"]
-        for evaluate, index in ((explode, 0), (explode_row_2, 2)):
+        for evaluate, index in ((explode, 0), (explode_at_trial_2, 2)):
             monkeypatch.setitem(
                 gt_module.CHECKS, "GT_WEAK", dataclasses.replace(check, evaluate=evaluate)
             )
             with pytest.raises(CampaignTrialError) as info:
-                run_campaign(config("GT_WEAK", trials=3))
+                run_campaign(cfg)
             assert info.value.trial_index == index
             assert info.value.trial_seed == derive_seed(99, index)
 
@@ -850,7 +879,8 @@ class TestReplay:
         assert str(replayed.value.cause) == str(campaign.value.cause)
         assert replayed.value.trial_index is None
 
-    @pytest.mark.parametrize("ensemble", ["gue", "goe"])
+    # goe draws the vectors that gue draws (`vector_stack`), so diag is the second law
+    @pytest.mark.parametrize("ensemble", ["gue", "diag"])
     def test_hessian_psd_slack_is_the_nullspace_zero(self, ensemble, monkeypatch):
         assert_hessian_psd_slack_is_zero(ensemble, monkeypatch)
 
@@ -961,9 +991,9 @@ def assert_hessian_psd_slack_is_zero(ensemble, monkeypatch):
 
     The all-ones vector is in the nullspace of every lse Hessian diag(p) - p p^T,
     so its smallest eigenvalue is 0 up to rounding: seed 5's largest |slack| is
-    0.375 n u (gue and goe draw the same vectors).  An evaluator that takes the
-    largest eigenvalue instead (at least 0.05 in every trial here) fails, where
-    a campaign sees a PSD matrix and passes.
+    0.375 n u for gue and goe, which draw the same vectors, and 0.3125 n u for
+    diag.  An evaluator that takes the largest eigenvalue instead (at least
+    0.05 in every trial here) fails, where a campaign sees a PSD matrix and passes.
     """
     for n in (2, 8, 16):
         cfg = config("HESSIAN_PSD", n=n, trials=200, seed=5, kind_ens=ensemble)
