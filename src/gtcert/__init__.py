@@ -57,7 +57,6 @@ from .logsumexp import (
 )
 from .matrixio import dumps_matrix, load_matrix, loads_matrix, save_matrix
 from .spectral import (
-    SpectralFunction,
     SymmetricScalarFunction,
     builtin,
     builtin_names,

@@ -27,7 +27,7 @@ from .gt import (  # convexity_check and gt_weak_check are run by their CAMPAIGN
 from .hermitian import ENSEMBLE_KINDS, EnsembleSpec
 from .logsumexp import dkd_product, lse_hessian_analytic
 from .matrixio import load_matrix
-from .spectral import builtin, lift, lift_eval
+from .spectral import builtin, lift_eval
 
 # the analytic-vs-finite-difference comparison has its own floor set by the
 # h = 1e-4 stencil; --tol governs only the PSD part of hessian-check
@@ -228,10 +228,10 @@ def _cmd_erratum(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    func = lift(builtin(args.fn))
-    value = lift_eval(func, load_matrix(args.matrix))
+    f = builtin(args.fn)
+    value = lift_eval(f, load_matrix(args.matrix))
     print(f"{value:.17g}")
-    _write_out(args.out, {"fn": func.name, "matrix": args.matrix, "value": value})
+    _write_out(args.out, {"fn": f.name, "matrix": args.matrix, "value": value})
     return 0
 
 

@@ -2,9 +2,12 @@
 
 A symmetric scalar function f (invariant under permutation of its arguments)
 lifts to a unitarily invariant function of a Hermitian matrix by evaluation on
-the spectrum: F(A) = f(eigenvalues of A).  The lift preserves convexity in
-both directions, so convexity of F can be probed through f on vectors and
-through F on matrix segments, independently.
+the spectrum: F(A) = f(eigenvalues of A).  By Davis's theorem that lift is
+the only unitarily invariant F that restricts to f on diagonal matrices, so
+a `SymmetricScalarFunction` evaluates its own lift (`lift_rows`), `lift(f)`
+is f itself, and `lift_eval` and every check here take f.  The lift
+preserves convexity in both directions, so convexity of F can be probed
+through f on vectors and through F on matrix segments, independently.
 
 Every f is row-wise: it maps a (T, n) array to T values, so a check evaluates
 a whole stack of vectors or spectra in one call, and the public single checks
@@ -54,19 +57,13 @@ class SymmetricScalarFunction:
         return tuple(values[k * t:(k + 1) * t] for k in range(len(stacks)))  # views, cheaper than np.split
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
-    """The lift of a symmetric scalar function to Hermitian matrices."""
+def lift(f: SymmetricScalarFunction) -> SymmetricScalarFunction:
+    """F = lift(f), the function A -> f(spectrum of A): f itself, which evaluates its lift by `lift_rows`.
 
-    base: SymmetricScalarFunction
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-
-def lift(f: SymmetricScalarFunction) -> SpectralFunction:
-    return SpectralFunction(f)
+    Kept as the public name of the operation, which the tests, the
+    acceptance gate and the benchmark call; every function here takes f.
+    """
+    return f
 
 
 def _same_n(a, b) -> None:
@@ -75,12 +72,12 @@ def _same_n(a, b) -> None:
         raise DimensionMismatch(f"{a.n} x {a.n} vs {b.n} x {b.n}")
 
 
-def lift_eval(func: SpectralFunction, a: HermitianMatrix) -> float:
-    """F(A): the base function applied to the ascending spectrum of A.
+def lift_eval(f: SymmetricScalarFunction, a: HermitianMatrix) -> float:
+    """F(A): f applied to the ascending spectrum of A, by `f.lift_rows`.
 
-    A value that overflows raises NonFiniteResult, as the base function does.
+    A value that overflows raises NonFiniteResult, as f does.
     """
-    (value,) = quiet_rows(func.base.lift_rows, a.entries[None], names=(func.name,))
+    (value,) = quiet_rows(f.lift_rows, a.entries[None], names=(f.name,))
     return float(value[0])
 
 
@@ -133,11 +130,11 @@ def unitary_invariance_rows(f: SymmetricScalarFunction, a: np.ndarray, u: np.nda
 
 
 def check_unitary_invariance(
-    func: SpectralFunction, a: HermitianMatrix, u: UnitaryMatrix, tol: float
+    f: SymmetricScalarFunction, a: HermitianMatrix, u: UnitaryMatrix, tol: float
 ) -> CheckResult:
-    """Compare F(U* A U) against F(A); slack is minus the deviation."""
+    """Compare F(U* A U) against F(A), F the lift of f; slack is minus the deviation."""
     _same_n(a, u)
-    return first_result(unitary_invariance_rows, func.base, a.entries[None], u.entries[None], tol=tol)
+    return first_result(unitary_invariance_rows, f, a.entries[None], u.entries[None], tol=tol)
 
 
 def segment_rows(f: SymmetricScalarFunction, a: np.ndarray, b: np.ndarray, t: float = 0.5):
@@ -154,27 +151,27 @@ def segment_rows(f: SymmetricScalarFunction, a: np.ndarray, b: np.ndarray, t: fl
 
 
 def midpoint_convexity_residual(
-    func: SpectralFunction, a: HermitianMatrix, b: HermitianMatrix
+    f: SymmetricScalarFunction, a: HermitianMatrix, b: HermitianMatrix
 ) -> float:
-    """(F(A) + F(B))/2 - F((A+B)/2); nonnegative when the base is convex.
+    """(F(A) + F(B))/2 - F((A+B)/2), F the lift of f; nonnegative when f is convex.
 
     Negative values within -1e-10 * max(1, |F|) are floating-point noise, not
     counterexamples.
     """
-    return segment_convexity_residual(func, a, b, 0.5)
+    return segment_convexity_residual(f, a, b, 0.5)
 
 
 def segment_convexity_residual(
-    func: SpectralFunction, a: HermitianMatrix, b: HermitianMatrix, t: float
+    f: SymmetricScalarFunction, a: HermitianMatrix, b: HermitianMatrix, t: float
 ) -> float:
-    """t F(A) + (1-t) F(B) - F(t A + (1-t) B) for t in [0, 1].
+    """t F(A) + (1-t) F(B) - F(t A + (1-t) B) for t in [0, 1], F the lift of f.
 
     A NaN or infinite term raises NonFiniteResult, as the checks do, so the residual is always finite.
     """
     if not (is_real(t) and 0.0 <= t <= 1.0):
         raise ValueError(f"t must be a real in [0, 1], got {t!r}")
     _same_n(a, b)
-    return first_result(segment_rows, func.base, a.entries[None], b.entries[None], t, tol=0.0).slack
+    return first_result(segment_rows, f, a.entries[None], b.entries[None], t, tol=0.0).slack
 
 
 def davis_restriction_rows(f: SymmetricScalarFunction, x: np.ndarray):
@@ -185,7 +182,7 @@ def davis_restriction_rows(f: SymmetricScalarFunction, x: np.ndarray):
 
 
 def check_davis_restriction(f: SymmetricScalarFunction, x, tol: float) -> CheckResult:
-    """Compare the lift evaluated at diag(x) with f(x) directly.
+    """Compare F(diag(x)), F the lift of f, with f(x) directly.
 
     For symmetric f these agree up to eigensolver noise regardless of the
     ordering of x, since the solver returns the sorted diagonal.

@@ -49,7 +49,7 @@ from gtcert import (
 import gtcert.gt as gt_module
 from gtcert.checks import slack_bound
 from gtcert.gt import CHECK_KINDS
-from gtcert.hermitian import generators
+from gtcert.hermitian import generators, seed_words, vector_stack
 from gtcert.spectral import SymmetricScalarFunction
 from oracles import expm_taylor
 
@@ -1025,12 +1025,37 @@ def assert_rotations_move_a(ensemble, monkeypatch):
         assert (np.abs(rotated - a).max(axis=(1, 2)) > 0.1 * np.abs(a).max(axis=(1, 2))).all()
 
 
+def assert_restriction_sees_the_spectrum(ensemble, monkeypatch):
+    """Assert that DAVIS_RESTRICTION's lifted side of f(x) = x[0] is min(x) over 200 draws at n = 2 and 8.
+
+    The lift sees only the ascending spectrum of diag(x), so for this
+    deliberately asymmetric f it is min(x), within n u max|x| (u = 2^-53;
+    bit-equal for these draws), and slack is negative in exactly the trials
+    whose x[0] is not their minimum (106 and 181 of 200 for gue, whose
+    vectors goe draws too, and 90 and 175 for diag).  An evaluator that
+    never calls the solver compares f(x) with itself and fails here, where a
+    campaign over a symmetric f sees a deviation of exactly 0 and passes.
+    """
+    first = SymmetricScalarFunction("first", lambda x: x[..., 0])
+    seeds = gt_module.derive_seeds(derive_seed(5, 0), np.arange(200))
+    for n in (2, 8):
+        x = vector_stack(EnsembleSpec(ensemble, n, 1.0, 5), generators(seed_words(seeds)))
+        lifted, _, slack = gt_module.CHECKS["DAVIS_RESTRICTION"].evaluate(first, x)
+        low = x.min(axis=1)
+        assert (np.abs(lifted - low) <= n * 2.0**-53 * np.abs(x).max(axis=1)).all(), n
+        assert ((slack < 0) == (x[:, 0] != low)).all(), n
+
+
 class TestOneLiftKernel:
     """F is computed in one place, `SymmetricScalarFunction.lift_rows`, so a bug in F reaches every kind."""
 
     @pytest.mark.parametrize("ensemble", ["gue", "goe"])
     def test_unitary_invariance_rotates_a(self, ensemble, monkeypatch):
         assert_rotations_move_a(ensemble, monkeypatch)
+
+    @pytest.mark.parametrize("ensemble", ["gue", "diag"])  # goe draws gue's vectors
+    def test_davis_restriction_sees_the_spectrum(self, ensemble, monkeypatch):
+        assert_restriction_sees_the_spectrum(ensemble, monkeypatch)
 
     @pytest.mark.parametrize("caller", F_CALLERS)
     def test_every_path_to_F_calls_lift_rows(self, caller, monkeypatch):

@@ -27,7 +27,7 @@ from gtcert import CampaignConfig, CampaignTrialError, EnsembleSpec, builtin, gt
 from gtcert.hermitian import conj_t, stacked_spectrum
 from gtcert.logsumexp import hessian_rows, lse_rows
 from gtcert.spectral import SymmetricScalarFunction
-from test_gt import assert_hessian_psd_slack_is_zero, assert_rotations_move_a
+from test_gt import assert_hessian_psd_slack_is_zero, assert_restriction_sees_the_spectrum, assert_rotations_move_a
 
 # (owner, attribute, the kinds whose code calls it) of each kernel a mutant replaces
 LIFT = (SymmetricScalarFunction, "lift_rows",
@@ -114,6 +114,12 @@ def lambda_max_psd(f, x):
     return w_max, np.zeros_like(w_max), w_max
 
 
+def restriction_without_the_solver(f, x):
+    """`davis_restriction_rows` comparing f(x) with itself: its deviation is exactly 0 at any tol."""
+    direct = f.rows(x)
+    return direct, direct, -np.abs(direct - direct)
+
+
 # (check kind, mutant evaluator, the assertion of the Tier-1 test that catches it) of each
 # evaluator mutant that no campaign can catch
 CAUGHT_BY_A_TEST = {
@@ -121,6 +127,9 @@ CAUGHT_BY_A_TEST = {
     "no rotation": ("UNITARY_INVARIANCE", no_rotation, assert_rotations_move_a),
     # tests/test_gt.py::TestReplay::test_hessian_psd_slack_is_the_nullspace_zero
     "lambda_max Hessian": ("HESSIAN_PSD", lambda_max_psd, assert_hessian_psd_slack_is_zero),
+    # tests/test_gt.py::TestOneLiftKernel::test_davis_restriction_sees_the_spectrum
+    "restriction without the solver": ("DAVIS_RESTRICTION", restriction_without_the_solver,
+                                       assert_restriction_sees_the_spectrum),
 }
 
 

@@ -88,6 +88,21 @@ class TestLiftEval:
         result = replay(cfg, seed)
         assert result.lhs > 0 and result.rhs == pytest.approx(np.abs(x).max(), rel=0.02)
 
+    @pytest.mark.parametrize("name", ["lse", "max", "min", "sum", "pnorm:2.5"])
+    def test_a_function_is_its_own_lift(self, name):
+        # lift(f) is f, so the lift-taking calls give the same bits (repr tells -0.0 from 0.0) for either
+        f = builtin(name)
+        assert lift(f) is f
+        a, b, u = gue(3, 1), gue(3, 2), random_unitary(3, 3)
+        calls = (
+            lambda g: lift_eval(g, a),
+            lambda g: check_unitary_invariance(g, a, u, 1e-10),
+            lambda g: midpoint_convexity_residual(g, a, b),
+            lambda g: segment_convexity_residual(g, a, b, 0.3),
+        )
+        for call in calls:
+            assert repr(call(builtin(name))) == repr(call(lift(builtin(name))))
+
 
 class TestBuiltins:
     def test_registry_contents(self):
