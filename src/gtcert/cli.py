@@ -36,9 +36,6 @@ FD_MATCH_TOL = 1e-6
 # off-diagonal agreement of D K D with the Hessian is an algebraic identity
 OFFDIAG_IDENTITY_TOL = 1e-14
 
-_DEFAULTS = {"dim": 8, "trials": 1000, "ensemble": "gue", "scale": 1.0, "tol": 1e-10}
-
-
 def _u64(text: str) -> int:
     try:
         require_seed(seed := int(text))
@@ -56,18 +53,18 @@ def _csv_vector(text: str) -> np.ndarray:
 
 
 def _campaign_flags(sub: argparse.ArgumentParser, matrices: bool) -> None:
-    sub.add_argument("--dim", type=int, default=_DEFAULTS["dim"], metavar="N",
-                     help="matrix dimension (default 8)")
-    sub.add_argument("--trials", type=int, default=_DEFAULTS["trials"], metavar="T",
-                     help="number of trials (default 1000)")
-    sub.add_argument("--ensemble", choices=ENSEMBLE_KINDS,
-                     default=_DEFAULTS["ensemble"], help="random ensemble (default gue)")
-    sub.add_argument("--scale", type=float, default=_DEFAULTS["scale"], metavar="S",
-                     help="ensemble scale (default 1.0)")
-    sub.add_argument("--seed", type=_u64, required=True, metavar="U64",
+    sub.add_argument("--dim", type=int, default=8, metavar="N",
+                     help="matrix dimension (default %(default)s)")
+    sub.add_argument("--trials", type=int, default=1000, metavar="T",
+                     help="number of trials (default %(default)s)")
+    sub.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default="gue",
+                     help="random ensemble (default %(default)s)")
+    sub.add_argument("--scale", type=float, default=1.0, metavar="S",
+                     help="ensemble scale (default %(default)s)")
+    sub.add_argument("--seed", type=_u64, metavar="U64",
                      help="master seed; fully determines the report")
-    sub.add_argument("--tol", type=float, default=_DEFAULTS["tol"], metavar="R",
-                     help="check tolerance (default 1e-10)")
+    sub.add_argument("--tol", type=float, default=1e-10, metavar="R",
+                     help="check tolerance (default %(default)s)")
     sub.add_argument("--parallel", action="store_true",
                      help="accepted for compatibility; has no effect (trials always "
                      "run in batched chunks, and the report is the same)")
@@ -182,6 +179,9 @@ def _cmd_campaign(args, campaigns, single) -> int:
     """Every campaign of a subcommand's row, or its single check when matrix files are given."""
     if single and (args.matrix or args.matrix_b):
         return _single_check(args, campaigns[0][0], globals()[single])
+    if args.seed is None:  # not argparse's required=True: the single check takes no seed
+        print("error: a campaign requires --seed", file=sys.stderr)
+        return 2
     ens = EnsembleSpec(args.ensemble, args.dim, args.scale, args.seed)
     fn = getattr(args, "fn", None)
     configs = [CampaignConfig(kind, ens, args.trials, args.tol if tol is None else tol,

@@ -93,8 +93,9 @@ def check_symmetry(
     All n! permutations when n <= 5, otherwise n_perms draws seeded by `seed`
     (pure; `seed` follows `EnsembleSpec`'s rule).  x and its permutations are
     evaluated in one `rows` call under `checks.quiet_rows`, so a value or a
-    deviation that is not finite raises NonFiniteResult, with the permutation
-    as `row`.  Records the first largest deviation: slack is minus the largest
+    deviation that is not finite raises NonFiniteResult, whose message gives
+    the lhs, rhs and slack of the first permutation where one is not finite.
+    Records the first largest deviation: slack is minus the largest
     |f(permuted x) - f(x)|.
     """
     arr = _as_vector(x)

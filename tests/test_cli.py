@@ -36,6 +36,9 @@ def write(path, doc):
 
 
 ZERO_2 = {"n": 2, "re": [[0.0, 0.0], [0.0, 0.0]]}
+# the README's example pair: a real file (no "im") and a complex one
+REAL_2 = {"n": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}
+COMPLEX_2 = {"n": 2, "re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 1.0], [-1.0, 0.0]]}
 
 
 class TestMatrixIO:
@@ -155,6 +158,12 @@ class TestEvalCommand:
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(math.log(2.0), abs=1e-15)
 
+    def test_lse_of_a_complex_file(self, tmp_path, capsys):
+        # the spectrum of [[0, i], [-i, 0]] is {-1, 1}
+        path = write(tmp_path / "b.json", COMPLEX_2)
+        assert main(["eval", "--fn", "lse", "--matrix", path]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(math.log(2 * math.cosh(1.0)), abs=1e-15)
+
     def test_out_document(self, tmp_path):
         path = write(tmp_path / "a.json", {"n": 2, "re": [[3.0, 0.0], [0.0, 4.0]]})
         out = tmp_path / "r.json"
@@ -183,8 +192,8 @@ class TestEvalCommand:
     def test_non_hermitian_file(self, tmp_path, capsys):
         path = write(tmp_path / "bad.json", {"n": 2, "re": [[0.0, 1.0], [0.0, 0.0]]})
         assert main(["eval", "--fn", "lse", "--matrix", path]) == 2
-        assert "error:" in capsys.readouterr().err
-
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_overflowing_value_is_an_error(self, tmp_path, capsys):
         # the sum 2e308 overflows to inf; eval used to print inf and exit 0
@@ -219,7 +228,11 @@ class TestCampaignCommands:
         assert "GT_WEAK" in capsys.readouterr().out
 
     def test_seed_is_required(self, capsys):
-        assert main(["verify-gt", "--dim", "4"]) == 2
+        # by every campaign row, as one error line
+        for command in cli.CAMPAIGNS:
+            assert main([command, "--dim", "4"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and "--seed" in err, err
 
     def test_determinism_modulo_wall_time(self, tmp_path):
         args = ["verify-convexity", "--dim", "3", "--trials", "40", "--seed", "7"]
@@ -377,6 +390,30 @@ class TestSingleCheckMode:
         assert err.startswith("error:") and err.count("\n") == 1 and "computed matrix is not finite" in err, err
         assert "NaN or infinity" not in err
 
+    @pytest.mark.parametrize("command, check", [
+        ("verify-gt", gtcert.gt_weak_check), ("verify-convexity", gtcert.convexity_check),
+    ])
+    def test_mixed_real_complex_pair_is_the_library_check(self, tmp_path, command, check):
+        # a real file beside a complex one is checked as the library checks the loaded pair
+        a, b = write(tmp_path / "a.json", REAL_2), write(tmp_path / "b.json", COMPLEX_2)
+        out = tmp_path / "r.json"
+        assert main([command, "--matrix", a, "--matrix-b", b, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        result = check(load_matrix(a), load_matrix(b), 1e-10)
+        expected = (result.lhs, result.rhs, result.slack)
+        assert [doc[k].hex() for k in ("lhs", "rhs", "slack")] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("command", ["verify-gt", "verify-convexity"])
+    def test_seed_is_not_needed(self, tmp_path, capsys, command):
+        # the single check draws nothing, and exited 2 without --seed
+        a, b = write(tmp_path / "a.json", REAL_2), write(tmp_path / "b.json", COMPLEX_2)
+        seen = []
+        for seed in ([], ["--seed", "0"]):
+            out = tmp_path / "r.json"
+            assert main([command, "--matrix", a, "--matrix-b", b, "--out", str(out)] + seed) == 0
+            seen.append((capsys.readouterr(), out.read_text()))
+        assert seen[0] == seen[1]
+
     def test_lonely_matrix_flag(self, tmp_path, capsys):
         a = write(tmp_path / "a.json", ZERO_2)
         assert main(["verify-gt", "--matrix", a, "--seed", "0"]) == 2
@@ -412,13 +449,17 @@ class TestErratumCommand:
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
+def run_python(*args, **env):
+    """`python args...` in a fresh interpreter, with this checkout's gtcert and `env` added."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gtcert.__file__)))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 def run_module(*args):
     """`python -m gtcert args...` in a fresh interpreter, with this checkout's gtcert."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gtcert.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    argv = [sys.executable, "-m", "gtcert", *args]
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    return run_python("-m", "gtcert", *args)
 
 
 class TestModuleEntryPoint:
@@ -444,6 +485,39 @@ class TestModuleEntryPoint:
                           "--scale", "1.7e308")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "sampled draw contains NaN or infinity" in proc.stderr
+
+    def test_raising_campaign_names_its_lowest_failing_trial(self):
+        # trial 3's A + B overflows, and trial 989, later in the same chunk, draws an infinity
+        proc = run_module("verify-gt", "--seed", "12", "--dim", "1", "--trials", "1100", "--scale", "5e307")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: trial 3 (") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_documents_do_not_depend_on_the_string_hash_seed(self, tmp_path):
+        # three campaign commands, and eval of a lifted function, write the same
+        # documents under two string-hash seeds, wall_time_s aside (an eval document has none)
+        b = write(tmp_path / "b.json", COMPLEX_2)
+        calls = {
+            "davis": ["davis-check", "--ensemble", "goe", "--seed", "3", "--dim", "4", "--trials", "30"],
+            "hessian": ["hessian-check", "--seed", "3", "--dim", "4", "--trials", "10"],
+            "gt": ["verify-gt", "--seed", "3", "--dim", "4", "--trials", "30"],
+            "eval": ["eval", "--fn", "pnorm:2.5", "--matrix", b],
+        }
+        script = ("import json, sys\nfrom gtcert.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n")
+        for hash_seed in ("0", "1"):
+            argvs = [argv + ["--out", str(tmp_path / f"{name}{hash_seed}.json")] for name, argv in calls.items()]
+            proc = run_python("-c", script, json.dumps(argvs), PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 0, proc.stderr
+
+        def text(path):
+            docs = json.loads(path.read_text())
+            for doc in docs if isinstance(docs, list) else [docs]:
+                doc.pop("wall_time_s", None)
+            return json.dumps(docs)
+
+        for name in calls:
+            assert text(tmp_path / f"{name}0.json") == text(tmp_path / f"{name}1.json"), name
 
     def test_overflowing_single_check_prints_only_the_error_line(self, tmp_path):
         # A + B overflows for A = B = [[1e308]]; numpy's RuntimeWarning came first
@@ -501,6 +575,16 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "subcommand" in capsys.readouterr().out
+
+    def test_help_names_each_default(self, capsys):
+        # the help text spells each default from its add_argument
+        assert main(["verify-gt", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
+        for fragment in ("--dim N matrix dimension (default 8)", "--trials T number of trials (default 1000)",
+                         "--ensemble {gue,goe,diag} random ensemble (default gue)",
+                         "--scale S ensemble scale (default 1.0)",
+                         "--tol R check tolerance (default 1e-10)"):
+            assert fragment in text, fragment
 
 
 class TestParserReuse:
