@@ -51,10 +51,13 @@ def require_positive_int(value, name: str, error=ValueError) -> None:
         raise error(f"{name} must be a positive integer, got {value!r}")
 
 
-def require_seed(seed) -> None:
-    """Raise ValueError unless `seed` is an unsigned 64-bit int and not a bool, the rule for every seed."""
+def require_seed(seed, name: str = "seed") -> None:
+    """Raise ValueError unless `seed` is an unsigned 64-bit int and not a bool, the rule for every seed.
+
+    `derive_seed` applies it to its stream position too, under `name`.
+    """
     if not (is_int(seed) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed!r}")
 
 
 def require_finite_rows(stack: np.ndarray, what: str, error=NonFiniteInput, fault="contains NaN or infinity") -> None:
@@ -78,8 +81,9 @@ class CheckResult:
 
     For inequality checks, slack = rhs - lhs; for identity checks, slack is
     minus the absolute deviation; for spectrum checks, slack is the minimum
-    eigenvalue.  In every case: passed iff slack >= -tol * max(1, |rhs|),
-    with `tol` finite and >= 0.
+    eigenvalue.  The finite-difference Hessian check is an inequality: lhs is
+    the deviation and rhs the stencil's own error bound.  In every case:
+    passed iff slack >= -tol * max(1, |rhs|), with `tol` finite and >= 0.
     A non-finite lhs, rhs or slack neither passes nor fails: it raises
     NonFiniteResult, as `quiet_rows` does where the checks compute them.
     """

@@ -52,7 +52,7 @@ from .hermitian import (
     stacked_spectrum,
     vector_stack,
 )
-from .logsumexp import hessian_fd_rows, hessian_rows, lse_rows
+from .logsumexp import _hessian_fd_bound, hessian_fd_rows, hessian_rows, lse_rows
 from .spectral import (
     SymmetricScalarFunction,
     _same_n,
@@ -102,8 +102,11 @@ def derive_seed(seed: int, index: int) -> int:
 
     Pure and documented so that trial seeds can be reproduced outside this
     package: mix64((seed + (index + 1) * gamma) mod 2^64) with the standard
-    gamma 0x9E3779B97F4A7C15 and finalizer constants.
+    gamma 0x9E3779B97F4A7C15 and finalizer constants.  Both `seed` and
+    `index` must be unsigned 64-bit ints (not bools), or it raises ValueError.
     """
+    require_seed(seed)
+    require_seed(index, "index")
     z = (seed + (index + 1) * _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -128,8 +131,9 @@ def _log_trace_exp_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     With A = U diag(a) U* and B = V diag(b) V*, tr(exp A exp B) is
     sum_ij exp(a_i + b_j) |(U*V)_ij|^2, so its log is one lse over the n^2
-    terms a_i + b_j + log |(U*V)_ij|^2; a zero overlap's term is set to -inf,
-    so it adds exp(-inf) = 0 even where a_i + b_j overflows.
+    terms a_i + b_j + log |(U*V)_ij|^2.  Each log weight is added to a_i
+    before b_j, so a zero overlap's term is -inf, which adds exp(-inf) = 0,
+    even where a_i + b_j overflows.
     """
     w, v = stacked_spectrum(np.concatenate([a, b]), vectors=True)
     t = len(a)
@@ -137,8 +141,7 @@ def _log_trace_exp_product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     overlap = conj_t(va) @ vb
     with np.errstate(divide="ignore"):
         log_weight = np.log(overlap.real ** 2 + overlap.imag ** 2)
-    terms = wa[:, :, None] + wb[:, None, :] + log_weight
-    terms[log_weight == -np.inf] = -np.inf
+    terms = (wa[:, :, None] + log_weight) + wb[:, None, :]
     return lse_rows(terms.reshape(terms.shape[0], -1))
 
 
@@ -162,7 +165,8 @@ def _hessian_psd(f, x):
 
 def _hessian_fd_match(f, x):
     dev = np.abs(hessian_rows(x) - hessian_fd_rows(x)).max(axis=(1, 2))
-    return dev, np.zeros_like(dev), -dev
+    bound = np.full_like(dev, _hessian_fd_bound(x.shape[1]))
+    return dev, bound, bound - dev
 
 
 def log_trace_exp(a: HermitianMatrix) -> float:
@@ -240,7 +244,9 @@ class CheckKind:
     `replay` checks them).  A sampler raises NonFiniteInput for a draw that
     overflows (`hermitian._normal_stack`), so `evaluate(f, *stacks)` gets
     finite stacks.  It returns (lhs, rhs, slack) arrays with one entry per
-    trial; `f` is always the campaign's built-in function, lse for the kinds
+    trial; HESSIAN_FD_MATCH, like the inequality kinds, returns rhs - lhs
+    as slack, with the stencil's deviation as lhs and its error bound as
+    rhs.  `f` is always the campaign's built-in function, lse for the kinds
     that refuse an `fn`, and every kind that lifts a function computes F
     through `f.lift_rows`.  A trial's values depend on its own draws alone,
     which lets `_check_chunk` check part of a chunk again.

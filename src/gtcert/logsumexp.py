@@ -159,6 +159,25 @@ def hessian_fd_rows(x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return out
 
 
+# c of the rounding term below: over gue and diag draws at n in {2, 4, ..., 64}
+# and scale in {1e-300, 1, 10, 1e3} (2000 trials per config up to n = 16, 200
+# above), the deviation reached 1.43 u max(1, log n) / h^2, and at most 3.3e-8
+_FD_ROUNDING = 4.0
+
+
+def _hessian_fd_bound(n: int, h: float = 1e-4) -> float:
+    """A bound on max |hessian_fd_rows(x, h) - hessian_rows(x)| over a row x of length n.
+
+    h^2 covers the stencil's truncation error, which is at most h^2 / 6
+    because every fourth partial derivative of lse is at most 1/4 in
+    magnitude.  The rest is rounding: after the max shift each of the four
+    lse values of an entry is at most log n + 2h in magnitude, so each is off
+    by a few u max(1, log n), u = 2^-53, and the entry divides them by 4 h^2.
+    At h = 1e-4 the bound is 1.33e-7 at n = 16 and below 1e-6 up to n = 10^9.
+    """
+    return h * h + _FD_ROUNDING * 2.0**-53 * max(1.0, math.log(n)) / (h * h)
+
+
 def hessian_fd(x, h: float = 1e-4) -> HermitianMatrix:
     """Central finite-difference Hessian of lse, independent of the analytic form.
 
@@ -169,8 +188,10 @@ def hessian_fd(x, h: float = 1e-4) -> HermitianMatrix:
     |lse|/h^2, which the shift keeps below (log n)/h^2.  All 4 n(n+1)/2 points
     are built as one array, each as (x + s_i h e_i) + s_j h e_j, and evaluated
     by one row-wise lse (`hessian_fd_rows` on a batch of one).  Serves as the
-    numerical oracle for `lse_hessian_analytic`; agreement is ~1e-7 at the
-    default step, which must make the divisor 4 h^2 a finite normal float.
+    numerical oracle for `lse_hessian_analytic`: at the default step the two
+    agree within h^2 + 4 u max(1, log n) / h^2 (u = 2^-53; 1.33e-7 at n = 16),
+    the bound that `HESSIAN_FD_MATCH` campaigns check.  The step must make
+    the divisor 4 h^2 a finite normal float.
     """
     arr = _as_vector(x)
     step = float(h) if is_real(h) else math.nan

@@ -1,5 +1,7 @@
 """Reference implementations that the tests compare gtcert against."""
 
+import math
+
 import numpy as np
 
 
@@ -16,3 +18,14 @@ def expm_taylor(m: np.ndarray, terms: int = 24) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def fd_bound(n: int) -> float:
+    """The error bound that HESSIAN_FD_MATCH allows the stencil of step h = 1e-4 at length n.
+
+    h^2 for truncation plus 4 u max(1, log n) / h^2 for the rounding of the
+    four lse values of an entry, u = 2^-53, in the library's order of
+    operations so that a replayed slack has the campaign's bits.
+    """
+    h = 1e-4
+    return h * h + 4.0 * 2.0**-53 * max(1.0, math.log(n)) / (h * h)

@@ -258,7 +258,7 @@ class TestCampaignCommands:
         docs = json.loads(out.read_text())
         assert [d["check_kind"] for d in docs] == ["HESSIAN_PSD", "HESSIAN_FD_MATCH"]
         assert all(d["violations"] == 0 for d in docs)
-        assert docs[1]["tol"] == 1e-6
+        assert docs[1]["tol"] == 1e-10  # --tol's default, as for HESSIAN_PSD
         printed = capsys.readouterr().out
         assert "HESSIAN_PSD" in printed and "HESSIAN_FD_MATCH" in printed
 
@@ -314,13 +314,13 @@ class TestCampaignCommands:
     @pytest.mark.parametrize("command, configs", [
         ("verify-gt", [("GT_WEAK", 1e-9, None)]),
         ("verify-convexity", [("MIDPOINT_CONVEXITY", 1e-9, None)]),
-        ("hessian-check", [("HESSIAN_PSD", 1e-9, None), ("HESSIAN_FD_MATCH", 1e-6, None)]),
+        ("hessian-check", [("HESSIAN_PSD", 1e-9, None), ("HESSIAN_FD_MATCH", 1e-9, None)]),
         ("davis-check", [("UNITARY_INVARIANCE", 1e-9, "max"), ("DAVIS_RESTRICTION", 1e-9, "max")]),
     ])
     def test_reports_match_the_library(self, tmp_path, capsys, command, configs):
         # the --out document is the library's report of each config the
-        # subcommand names: --tol reaches every kind but HESSIAN_FD_MATCH, and
-        # --fn reaches both davis-check kinds
+        # subcommand names: --tol reaches every kind, and --fn reaches both
+        # davis-check kinds
         out = tmp_path / "r.json"
         argv = [command, "--dim", "3", "--trials", "40", "--seed", "21", "--ensemble", "goe",
                 "--scale", "1.5", "--tol", "1e-9", "--out", str(out)]

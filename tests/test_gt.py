@@ -1,6 +1,7 @@
 """Tests for trace-inequality checks and the seeded campaign runner."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -51,7 +52,7 @@ from gtcert.checks import slack_bound
 from gtcert.gt import CHECK_KINDS
 from gtcert.hermitian import generators, seed_words, vector_stack
 from gtcert.spectral import SymmetricScalarFunction
-from oracles import expm_taylor
+from oracles import expm_taylor, fd_bound
 
 
 def diag(*values):
@@ -371,6 +372,13 @@ class TestSeedDerivation:
                 assert int(gt_module.derive_seeds(seed, index)) == derive_seed(seed, index)
                 assert int(gt_module.derive_seeds(np.uint64(seed), np.uint64(index))) == derive_seed(seed, index)
 
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (True, 0), (1.5, 0), (1, -1), (2**64, 0), (0, 2**64)])
+    def test_bad_seed_or_index_rejected(self, seed, index):
+        # -1 derived the seed of 2**64 - 1 and True that of 1, 1.5 raised a
+        # TypeError from &, and index -1 gave a value that is no stream position
+        with pytest.raises(ValueError):
+            derive_seed(seed, index)
+
     @pytest.mark.parametrize("trials, chunk, streams", [(7, 16, 1), (2100, 64, 2), (1030, 1, 2)])
     def test_chunks_carry_each_trials_stream_states(self, trials, chunk, streams):
         # seeds and seed words come a block at a time; every chunk still gets,
@@ -393,10 +401,6 @@ class TestSeedDerivation:
 
 def config(kind, n=4, trials=50, tol=1e-10, seed=99, kind_ens="gue", scale=1.0, **kw):
     return CampaignConfig(kind, EnsembleSpec(kind_ens, n, scale, seed), trials, tol, **kw)
-
-
-def kind_tol(kind):
-    return 1e-6 if kind == "HESSIAN_FD_MATCH" else 1e-10
 
 
 PAIR_CHECKS = {
@@ -429,7 +433,7 @@ def replay_slack(cfg, trial_seed):
         return check_davis_restriction(builtin(cfg.fn), x, tol).slack
     if kind == "HESSIAN_PSD":
         return psd_certify(lse_hessian_analytic(x), tol).min_eigenvalue
-    return -float(np.max(np.abs(lse_hessian_analytic(x).entries - hessian_fd(x).entries)))
+    return fd_bound(ens.n) - float(np.max(np.abs(lse_hessian_analytic(x).entries - hessian_fd(x).entries)))
 
 
 def config_from_json(doc):
@@ -480,8 +484,7 @@ class TestRunCampaign:
         "GT_STRONG", "HESSIAN_FD_MATCH", "DAVIS_RESTRICTION",
     ])
     def test_every_kind_runs_clean(self, kind):
-        tol = 1e-6 if kind == "HESSIAN_FD_MATCH" else 1e-10
-        report = run_campaign(config(kind, trials=25, tol=tol))
+        report = run_campaign(config(kind, trials=25))
         assert report.violations == 0
         assert report.trials_run == 25
         assert report.generator_id == "numpy-pcg64"
@@ -504,7 +507,7 @@ class TestRunCampaign:
             for kind in CHECK_KINDS:
                 for n in (1, 2, 8):
                     trials = gt_module._chunk_trials(gt_module.CHECKS[kind], n) + 6
-                    cfg = config(kind, n=n, trials=trials, tol=kind_tol(kind), kind_ens=ensemble)
+                    cfg = config(kind, n=n, trials=trials, kind_ens=ensemble)
                     report = run_campaign(cfg)
                     seed = report.worst_trial_seed
                     assert replay(cfg, seed).slack == report.worst_slack == replay_slack(cfg, seed), (ensemble, kind, n)
@@ -515,7 +518,7 @@ class TestRunCampaign:
         cases = [(kind, 3) for kind in CHECK_KINDS] + [("DAVIS_RESTRICTION", 1), ("DAVIS_RESTRICTION", 16)]
         for kind, n in cases:
             trials = gt_module._chunk_trials(gt_module.CHECKS[kind], n) + 6
-            cfg = config(kind, n=n, trials=trials, tol=kind_tol(kind))
+            cfg = config(kind, n=n, trials=trials)
             chunked = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
             monkeypatch.setattr(gt_module, "_CHUNK_ENTRIES", 1)
             one_by_one = run_campaign(cfg).to_json_dict() | {"wall_time_s": 0}
@@ -576,13 +579,35 @@ class TestRunCampaign:
 
     def test_fd_match_holds_at_large_scale(self):
         # the stencil at x itself lost about |lse(x)|*eps/h^2 to rounding, so
-        # at diag scale 1000 one trial missed the 1e-6 floor (slack -1.40e-6);
-        # at x - max(x) the worst slack is about -5.6e-9
-        report = run_campaign(
-            CampaignConfig("HESSIAN_FD_MATCH", EnsembleSpec("diag", 16, 1000.0, 1), 20, 1e-6)
-        )
+        # at diag scale 1000 one trial deviated by 1.40e-6; at x - max(x) the
+        # largest deviation is about 5.6e-9
+        report = run_campaign(CampaignConfig("HESSIAN_FD_MATCH", EnsembleSpec("diag", 16, 1000.0, 1), 20, 1e-10))
         assert report.violations == 0
-        assert report.worst_slack > -1e-7
+        assert replay(report.config, report.worst_trial_seed).lhs < 1e-7
+
+    @pytest.mark.parametrize("ens", [EnsembleSpec("diag", 4, 1e-300, 1), EnsembleSpec("gue", 16, 1.0, 1),
+                                     EnsembleSpec("gue", 64, 1.0, 3)])
+    def test_fd_match_passes_at_the_default_tol(self, ens):
+        # the deviation was held to tol itself, below the stencil's own
+        # rounding, and all 20 trials of each violated at tol 1e-10; it is now
+        # held to the stencil's error bound, which it meets at tol 0 too
+        for tol in (1e-10, 0.0):
+            assert run_campaign(CampaignConfig("HESSIAN_FD_MATCH", ens, 20, tol)).violations == 0
+
+    def test_fd_match_catches_a_wrong_diagonal(self, monkeypatch):
+        # p_i on the diagonal in place of p_i (1 - p_i) is off by p_i^2 >= 1/n^2
+        # for the largest weight, far above the stencil's bound, in every trial
+        def p_on_the_diagonal(x):
+            p = np.exp(x - x.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            h = -p[:, :, None] * p[:, None, :]
+            h[:, np.arange(x.shape[1]), np.arange(x.shape[1])] = p
+            return h
+
+        monkeypatch.setattr(gt_module, "hessian_rows", p_on_the_diagonal)
+        for ensemble in ("gue", "diag"):
+            for n in (1, 8):
+                assert run_campaign(config("HESSIAN_FD_MATCH", n=n, trials=30, kind_ens=ensemble)).violations == 30
 
     @pytest.mark.parametrize("seed", [0, 3, 4])
     def test_psd_rejects_infinite_sampled_vectors(self, seed):
@@ -602,7 +627,7 @@ class TestRunCampaign:
     def test_overflowing_draw_is_a_non_finite_input(self, kind):
         # UNITARY_INVARIANCE named the NaN that an infinite A leaves in U* A U
         # a Hermiticity failure, and HESSIAN_PSD passed
-        cfg = CampaignConfig(kind, EnsembleSpec("gue", 4, 1.7e308, 0), 3, kind_tol(kind))
+        cfg = CampaignConfig(kind, EnsembleSpec("gue", 4, 1.7e308, 0), 3, 1e-10)
         with pytest.raises(CampaignTrialError) as info:
             run_campaign(cfg)
         assert isinstance(info.value.cause, NonFiniteInput), info.value
@@ -665,7 +690,7 @@ class TestRunCampaign:
             with pytest.raises(ValueError):  # numpy cannot draw on [-scale, scale]
                 EnsembleSpec(ensemble, n, scale, seed)
             return
-        cfg = CampaignConfig(kind, EnsembleSpec(ensemble, n, scale, seed), 3, kind_tol(kind))
+        cfg = CampaignConfig(kind, EnsembleSpec(ensemble, n, scale, seed), 3, 1e-10)
         try:
             report = run_campaign(cfg)
         except CampaignTrialError:
@@ -819,9 +844,9 @@ class TestRunCampaign:
                 config(kind, fn="max")
 
     def test_violations_counted_and_reported(self):
-        # an impossible tolerance forces violations without faking math:
-        # HESSIAN_FD_MATCH cannot meet 1e-16
-        report = run_campaign(config("HESSIAN_FD_MATCH", trials=10, tol=1e-16))
+        # genuine violations: lambda_min is concave, so its midpoint gap is
+        # positive in every trial whose A and B share no eigenvector
+        report = run_campaign(config("MIDPOINT_CONVEXITY", trials=10, fn="min"))
         assert report.violations == 10
         assert report.worst_slack < 0
 
@@ -845,7 +870,7 @@ class TestReplay:
     def test_trial_inputs_are_the_single_draws(self, kind):
         for ensemble in ("gue", "goe", "diag"):
             for n in (1, 8):
-                cfg = config(kind, n=n, trials=1, tol=kind_tol(kind), kind_ens=ensemble)
+                cfg = config(kind, n=n, trials=1, kind_ens=ensemble)
                 for trial_seed in (0, 2**64 - 1, derive_seed(7, 3)):
                     got, want = trial_inputs(cfg, trial_seed), public_draws(cfg, trial_seed)
                     assert len(got) == len(gt_module.CHECKS[kind].streams) == len(want)
@@ -883,6 +908,25 @@ class TestReplay:
     @pytest.mark.parametrize("ensemble", ["gue", "diag"])
     def test_hessian_psd_slack_is_the_nullspace_zero(self, ensemble, monkeypatch):
         assert_hessian_psd_slack_is_zero(ensemble, monkeypatch)
+
+    # goe draws the vectors that gue draws (`vector_stack`), so diag is the second law
+    @pytest.mark.parametrize("ensemble", ["gue", "diag"])
+    def test_fd_deviation_is_within_its_bound(self, ensemble, monkeypatch):
+        assert_fd_deviation_is_within_its_bound(ensemble, monkeypatch)
+
+    def test_draws_are_pinned(self):
+        # the draws of `hermitian_stack` and `vector_stack` do not depend on
+        # the BLAS kernel, only on gtcert's samplers and numpy's PCG64, normal
+        # and uniform streams; `haar_stack` draws go through LAPACK's QR
+        digest = hashlib.sha256()
+        for kind in ("GT_WEAK", "HESSIAN_PSD"):
+            for ensemble in ("gue", "goe", "diag"):
+                for n in (1, 2, 8):
+                    cfg = config(kind, n=n, trials=1, kind_ens=ensemble)
+                    for trial_seed in (0, 2**64 - 1):
+                        for x in trial_inputs(cfg, trial_seed):
+                            digest.update(f"{x.dtype.str}{x.shape}".encode() + x.tobytes())
+        assert digest.hexdigest() == "bc63a0917a4c827c54c7e67c6e6c22c7af9dbf8beaa059be2f789387f525b992"
 
     @pytest.mark.parametrize("trial_seed", [-1, 2**64, True, 1.0])
     def test_bad_trial_seeds_rejected(self, trial_seed):
@@ -1000,6 +1044,23 @@ def assert_hessian_psd_slack_is_zero(ensemble, monkeypatch):
         for i in range(cfg.trials):
             slack = replay(cfg, derive_seed(5, i)).slack
             assert abs(slack) <= n * 2.0**-53, (n, i, slack)
+
+
+def assert_fd_deviation_is_within_its_bound(ensemble, monkeypatch):
+    """Assert that every replayed HESSIAN_FD_MATCH trial at n = 2, 8 and 16 has 0 < deviation <= `fd_bound(n)`.
+
+    The stencil's rounding leaves a deviation from the analytic Hessian in
+    every trial at scale 1 (seed 5's smallest is 3.5e-12, for gue and goe,
+    which draw the same vectors), and the bound holds it with room to spare
+    (at most 0.18 of it for gue and 0.23 for diag).  An evaluator that
+    compares the analytic Hessian with itself fails here, where a campaign
+    sees a deviation of exactly 0 and passes.
+    """
+    for n in (2, 8, 16):
+        cfg = config("HESSIAN_FD_MATCH", n=n, trials=100, seed=5, kind_ens=ensemble)
+        for i in range(cfg.trials):
+            result = replay(cfg, derive_seed(5, i))
+            assert result.rhs == fd_bound(n) and 0 < result.lhs <= result.rhs, (n, i, result)
 
 
 def assert_rotations_move_a(ensemble, monkeypatch):

@@ -27,6 +27,7 @@ from gtcert import (
     softmax,
 )
 from gtcert.logsumexp import hessian_fd_rows, hessian_rows
+from oracles import fd_bound
 
 LOG_3 = 1.0986122886681098
 
@@ -291,7 +292,7 @@ class TestHessianFiniteDifference:
         dev = np.abs(
             hessian_fd([0.0, LOG_3]).entries - lse_hessian_analytic([0.0, LOG_3]).entries
         )
-        assert dev.max() <= 1e-6
+        assert dev.max() <= fd_bound(2)
 
     def test_agreement_over_random_points(self):
         rng = np.random.default_rng(7)
@@ -299,7 +300,7 @@ class TestHessianFiniteDifference:
             for _ in range(25):
                 x = rng.uniform(-10.0, 10.0, n)
                 dev = np.abs(hessian_fd(x).entries - lse_hessian_analytic(x).entries)
-                assert dev.max() <= 1e-6
+                assert dev.max() <= fd_bound(n)
 
     def test_linear_function_case(self):
         # n = 1: lse is the identity; the stencil leaves only rounding noise,

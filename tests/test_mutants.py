@@ -25,9 +25,10 @@ import pytest
 
 from gtcert import CampaignConfig, CampaignTrialError, EnsembleSpec, builtin, gt, run_campaign
 from gtcert.hermitian import conj_t, stacked_spectrum
-from gtcert.logsumexp import hessian_rows, lse_rows
+from gtcert.logsumexp import _hessian_fd_bound, hessian_rows, lse_rows
 from gtcert.spectral import SymmetricScalarFunction
-from test_gt import assert_hessian_psd_slack_is_zero, assert_restriction_sees_the_spectrum, assert_rotations_move_a
+from test_gt import (assert_fd_deviation_is_within_its_bound, assert_hessian_psd_slack_is_zero,
+                     assert_restriction_sees_the_spectrum, assert_rotations_move_a)
 
 # (owner, attribute, the kinds whose code calls it) of each kernel a mutant replaces
 LIFT = (SymmetricScalarFunction, "lift_rows",
@@ -114,6 +115,13 @@ def lambda_max_psd(f, x):
     return w_max, np.zeros_like(w_max), w_max
 
 
+def fd_without_the_stencil(f, x):
+    """`_hessian_fd_match` comparing the analytic Hessian with itself: its deviation is exactly 0 at any tol."""
+    dev = np.abs(hessian_rows(x) - hessian_rows(x)).max(axis=(1, 2))
+    bound = np.full_like(dev, _hessian_fd_bound(x.shape[1]))
+    return dev, bound, bound - dev
+
+
 def restriction_without_the_solver(f, x):
     """`davis_restriction_rows` comparing f(x) with itself: its deviation is exactly 0 at any tol."""
     direct = f.rows(x)
@@ -131,6 +139,9 @@ CAUGHT_BY_A_TEST = {
     # tests/test_gt.py::TestOneLiftKernel::test_davis_restriction_sees_the_spectrum
     "restriction without the solver": ("DAVIS_RESTRICTION", restriction_without_the_solver,
                                        assert_restriction_sees_the_spectrum, ("gue", "diag")),
+    # tests/test_gt.py::TestReplay::test_fd_deviation_is_within_its_bound
+    "FD without the stencil": ("HESSIAN_FD_MATCH", fd_without_the_stencil,
+                               assert_fd_deviation_is_within_its_bound, ("gue", "diag")),
 }
 
 
